@@ -9,7 +9,7 @@
 //! 5.8 % (RO_Rank) and 10.1 % (RA_RAIR).
 
 use crate::runner::{run_one, run_parallel, ExpConfig, Job, RunResult};
-use crate::sweep::{build_network, cached_saturation};
+use crate::sweep::{build_network, cached_saturations, SatQuery};
 use metrics::report::{f2, pct};
 use metrics::Table;
 use noc_sim::config::SimConfig;
@@ -28,7 +28,8 @@ pub const LOW_APPS: [usize; 4] = [0, 2, 3, 4];
 pub const HIGH_APPS: [usize; 2] = [1, 5];
 
 /// Per-application offered loads (flits/cycle/node): fraction × that
-/// application's measured saturation load under the full 75/20/5 mix.
+/// application's measured saturation load under the full 75/20/5 mix. The
+/// six searches go out as one batch, so cache misses run concurrently.
 pub fn six_app_rates(ec: &ExpConfig) -> [f64; 6] {
     let cfg = SimConfig::table1();
     let region = RegionMap::six_regions(&cfg);
@@ -39,12 +40,17 @@ pub fn six_app_rates(ec: &ExpConfig) -> [f64; 6] {
         inter_dest: InterDest::OutsideUniform,
         mc: 0.05,
     };
-    let mut rates = [0.0; 6];
-    for (a, rate) in rates.iter_mut().enumerate() {
-        let sat = cached_saturation(&format!("six/mix/app{a}"), ec, &cfg, &region, a as u8, &mix);
-        *rate = LOAD_FRACTIONS[a] * sat;
-    }
-    rates
+    let queries: Vec<SatQuery> = (0..6)
+        .map(|a| SatQuery {
+            label: format!("six/mix/app{a}"),
+            cfg: &cfg,
+            region: &region,
+            app: a as u8,
+            spec: &mix,
+        })
+        .collect();
+    let sats = cached_saturations(ec, &queries);
+    std::array::from_fn(|a| LOAD_FRACTIONS[a] * sats[a].0)
 }
 
 /// Result of one six-application comparison.

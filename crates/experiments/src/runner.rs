@@ -280,7 +280,7 @@ impl Job {
 }
 
 /// Best-effort extraction of a human-readable panic message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(std::string::ToString::to_string)
@@ -340,22 +340,53 @@ fn resolve_worker_count(env_threads: Option<&str>, jobs: usize) -> (usize, Optio
     (count.min(jobs), warning)
 }
 
-/// Worker-pool core shared by the plain and checkpointed runners: execute
-/// `(original index, job)` pairs, invoking `on_success` for each completed
-/// result (the checkpoint append hook). `total`/`already` shape the
-/// progress messages when part of the sweep was pre-resolved from a
-/// checkpoint.
+/// The sweep worker pool: apply `f` to every item on
+/// [`worker_count_from`] scoped threads (`RAIR_THREADS` overrides the
+/// count) and return the outputs in item order, whatever order they
+/// finished in. Items are handed out in order, so with one worker they run
+/// serially, in order, on the calling thread. The job sweep and the
+/// saturation-search batch both run here. `f` must not panic: a panic
+/// escaping a scoped thread loses its message, so callers that need panic
+/// isolation catch inside `f`.
+pub(crate) fn pool_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let workers = worker_count_from(std::env::var("RAIR_THREADS").ok().as_deref(), items.len());
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let n = items.len();
+    let queue: Mutex<Vec<(usize, T)>> = Mutex::new(items.into_iter().enumerate().rev().collect());
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let next = queue.lock().expect("pool queue poisoned").pop();
+                let Some((idx, item)) = next else { break };
+                let out = f(item);
+                slots.lock().expect("pool results poisoned")[idx] = Some(out);
+            });
+        }
+    });
+    slots
+        .into_inner()
+        .expect("pool results poisoned")
+        .into_iter()
+        .map(|r| r.expect("every pool item ran"))
+        .collect()
+}
+
+/// Sweep core shared by the plain and checkpointed runners: execute
+/// `(original index, job)` pairs on [`pool_map`], invoking `on_success`
+/// for each completed result (the checkpoint append hook). `total`/`already`
+/// shape the progress messages when part of the sweep was pre-resolved
+/// from a checkpoint. Pairs come back in input order.
 fn run_indexed(
     jobs: Vec<(usize, Job)>,
     total: usize,
     already: usize,
     on_success: &(dyn Fn(&RunResult) + Sync),
 ) -> Vec<(usize, Result<RunResult, JobError>)> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
     let done = AtomicUsize::new(already);
-    let handle = |(idx, job): (usize, Job)| {
+    pool_map(jobs, |(idx, job)| {
         let r = job.execute();
         if let Ok(ok) = &r {
             on_success(ok);
@@ -365,24 +396,7 @@ fn run_indexed(
             eprintln!("[sweep] {d}/{total} done ({})", job.label());
         }
         (idx, r)
-    };
-    let workers = worker_count_from(std::env::var("RAIR_THREADS").ok().as_deref(), jobs.len());
-    if workers <= 1 {
-        return jobs.into_iter().map(handle).collect();
-    }
-    let queue: Mutex<Vec<(usize, Job)>> = Mutex::new(jobs.into_iter().rev().collect());
-    let results: Mutex<Vec<(usize, Result<RunResult, JobError>)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let job = queue.lock().unwrap().pop();
-                let Some(pair) = job else { break };
-                let out = handle(pair);
-                results.lock().unwrap().push(out);
-            });
-        }
-    });
-    results.into_inner().unwrap()
+    })
 }
 
 /// Execute jobs across worker threads (one simulation per thread; see
@@ -392,12 +406,9 @@ fn run_indexed(
 /// stderr as jobs finish.
 pub fn run_parallel_results(jobs: Vec<Job>) -> Vec<Result<RunResult, JobError>> {
     let n = jobs.len();
-    let mut out: Vec<Option<Result<RunResult, JobError>>> = (0..n).map(|_| None).collect();
-    for (idx, r) in run_indexed(jobs.into_iter().enumerate().collect(), n, 0, &|_| {}) {
-        out[idx] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("all jobs completed"))
+    run_indexed(jobs.into_iter().enumerate().collect(), n, 0, &|_| {})
+        .into_iter()
+        .map(|(_, r)| r)
         .collect()
 }
 

@@ -13,19 +13,23 @@
 //! tiny file per key; override the directory with `RAIR_CACHE_DIR`), so a
 //! second `repro` invocation performs **zero** binary searches for loads it
 //! has already measured. The in-memory layer is bounded (FIFO eviction) so
-//! an unbounded sweep cannot grow the process without limit.
+//! an unbounded sweep cannot grow the process without limit. Lookups are
+//! batched ([`try_cached_saturations`]): a figure's cache misses run
+//! concurrently on the sweep worker pool, bit-identically to serial ones.
 
 use crate::runner::ExpConfig;
+use crate::service::{std_store, Store};
 use noc_sim::config::SimConfig;
 use noc_sim::network::Network;
 use noc_sim::region::RegionMap;
 use noc_sim::source::TrafficSource;
 use rair::scheme::{Routing, Scheme};
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-use traffic::saturation::{app_saturation_traced, SaturationProbe, WarmOutcome};
+use traffic::saturation::{app_saturation_traced, SaturationProbe, SearchOutcome, WarmOutcome};
 use traffic::scenario::AppSpec;
 
 /// Build a network from the scheme/routing matrix plus a traffic source.
@@ -112,6 +116,8 @@ impl MemCache {
         }
     }
 }
+
+const MEM_POISONED: &str = "saturation memory cache poisoned";
 
 fn sat_cache() -> &'static Mutex<MemCache> {
     static CACHE: OnceLock<Mutex<MemCache>> = OnceLock::new();
@@ -279,20 +285,13 @@ fn disk_read(key: u64) -> Option<f64> {
 }
 
 /// Persist a value in the v2 (CRC-guarded) format: value line first, a
-/// human-readable comment line second. Written via temp-file + rename so
-/// concurrent sweeps (or an interrupted run) can never leave a torn entry;
-/// failures are warned about but non-fatal — the cache is an optimization,
-/// not a dependency.
-fn disk_write(key: u64, value: f64, label: &str) {
-    let dir = cache_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!(
-            "[sweep] warning: could not create cache dir {}: {e}",
-            dir.display()
-        );
-        return;
-    }
-    let tmp = dir.join(format!("sat_{key:016x}.tmp.{}", std::process::id()));
+/// human-readable comment line second. Written through
+/// [`Store::write_atomic`], whose temp file is unique per write, so
+/// concurrent searches of one key (in this process or another) and
+/// interrupted runs can never leave a torn entry or fail each other's
+/// commit.
+fn disk_write(key: u64, value: f64, label: &str) -> std::io::Result<()> {
+    let store = std_store();
     let hex = format!("{:016x}", value.to_bits());
     let body = format!(
         "v2 {hex} {:08x}\n# {} = {:.6} flits/cycle/node\n",
@@ -300,14 +299,8 @@ fn disk_write(key: u64, value: f64, label: &str) {
         label,
         value
     );
-    let committed =
-        std::fs::write(&tmp, body).and_then(|()| std::fs::rename(&tmp, cache_path(key)));
-    if let Err(e) = committed {
-        eprintln!(
-            "[sweep] warning: could not persist saturation cache entry \
-             sat_{key:016x}: {e}"
-        );
-    }
+    store.create_dir_all(&cache_dir())?;
+    store.write_atomic(&cache_path(key), body.as_bytes())
 }
 
 /// Is model warm-starting of saturation searches disabled? The
@@ -318,17 +311,178 @@ fn cold_searches_forced() -> bool {
     std::env::var("RAIR_COLD_SAT").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Saturation load of application `app` running alone with traffic mix
-/// `spec` on `region` (round-robin arbitration, local adaptive routing),
-/// plus where the value came from. `label` is used only in diagnostics and
-/// the on-disk comment line; the cache key is derived from the parameters
-/// themselves.
+/// One saturation lookup: application `app` running alone with traffic
+/// mix `spec` on `region` (round-robin arbitration, local adaptive
+/// routing). `label` is used only in diagnostics and the on-disk comment
+/// line; the cache key is derived from the other fields.
+#[derive(Debug, Clone)]
+pub struct SatQuery<'a> {
+    pub label: String,
+    pub cfg: &'a SimConfig,
+    pub region: &'a RegionMap,
+    pub app: u8,
+    pub spec: &'a AppSpec,
+}
+
+/// How step 1 of [`try_cached_saturations`] resolved one query.
+enum Resolved {
+    Mem(f64),
+    Disk(f64),
+    /// Same key as the earlier query at this index: answered by its result.
+    Dup(usize),
+    Miss,
+}
+
+/// Run one query's binary search, warm-started from the analytical
+/// model's prediction ([`model::warm_hint`]) unless `RAIR_COLD_SAT` forces
+/// it cold.
+fn search(probe: &SaturationProbe, q: &SatQuery) -> SearchOutcome {
+    let warm = if cold_searches_forced() {
+        None
+    } else {
+        model::warm_hint(q.cfg, q.region, q.app, q.spec, model::RoutingKind::Adaptive)
+    };
+    app_saturation_traced(probe, q.cfg, q.region, q.app, q.spec, warm, || {
+        Routing::Local.build()
+    })
+}
+
+/// Saturation loads of a batch of queries, plus where each value came
+/// from, in query order. The one lookup path of the saturation cache:
 ///
-/// On a cache miss the binary search is warm-started from the analytical
-/// model's prediction ([`model::warm_hint`]); the warm protocol verifies
-/// its bracket against the simulator and falls back to the cold path when
-/// rejected, so the returned load is bit-identical either way (cache
-/// contents and golden digests do not depend on the model).
+/// 1. every query's key is computed and memory, then disk, hits are
+///    resolved in query order (a key repeated within the batch is answered
+///    by its first occurrence and counts as a memory hit);
+/// 2. the distinct misses run on the sweep worker pool
+///    ([`crate::runner::pool_map`], `RAIR_THREADS` caps it);
+/// 3. results enter the memory and disk layers in query order.
+///
+/// Each search owns its probe seed and builds a fresh network per probe,
+/// so concurrent searches return the loads, counters and cache contents
+/// of a serial run bit for bit (`RAIR_THREADS=1` *is* the serial run).
+/// The model warm start verifies its bracket against the simulator and
+/// falls back to the cold path when rejected, so the returned load is
+/// bit-identical either way.
+///
+/// A degenerate search yields `Err` at its index. A search that panics is
+/// re-raised on the calling thread — label and app prepended — after
+/// every sibling has finished and been cached.
+pub fn try_cached_saturations(
+    ec: &ExpConfig,
+    queries: &[SatQuery],
+) -> Vec<Result<(f64, SatLookup), SaturationError>> {
+    let probe = if ec.quick {
+        SaturationProbe::quick()
+    } else {
+        SaturationProbe::default()
+    };
+    let keys: Vec<u64> = queries
+        .iter()
+        .map(|q| sat_digest(&probe, q.cfg, q.region, q.app, q.spec))
+        .collect();
+    let mut first_of: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut resolved = Vec::with_capacity(queries.len());
+    for (i, &key) in keys.iter().enumerate() {
+        let hit = sat_cache()
+            .lock()
+            .expect(MEM_POISONED)
+            .map
+            .get(&key)
+            .copied();
+        resolved.push(if let Some(&first) = first_of.get(&key) {
+            Resolved::Dup(first)
+        } else if let Some(v) = hit {
+            Resolved::Mem(v)
+        } else if let Some(v) = disk_read(key) {
+            Resolved::Disk(v)
+        } else {
+            Resolved::Miss
+        });
+        first_of.entry(key).or_insert(i);
+    }
+    let misses: Vec<usize> = (0..queries.len())
+        .filter(|&i| matches!(resolved[i], Resolved::Miss))
+        .collect();
+    // Misses are in query order, so the outcomes are consumed in step.
+    let mut searched = crate::runner::pool_map(misses, |i| {
+        catch_unwind(AssertUnwindSafe(|| search(&probe, &queries[i])))
+    })
+    .into_iter();
+
+    let mut out: Vec<Result<(f64, SatLookup), SaturationError>> = Vec::with_capacity(queries.len());
+    let mut panicked = None;
+    for (i, (q, &key)) in queries.iter().zip(&keys).enumerate() {
+        let r = match resolved[i] {
+            Resolved::Mem(v) => {
+                MEM_HITS.fetch_add(1, Ordering::Relaxed);
+                Ok((v, SatLookup::MemHit))
+            }
+            Resolved::Disk(v) => {
+                DISK_HITS.fetch_add(1, Ordering::Relaxed);
+                sat_cache().lock().expect(MEM_POISONED).insert(key, v);
+                Ok((v, SatLookup::DiskHit))
+            }
+            Resolved::Dup(first) => match &out[first] {
+                Ok((v, _)) => {
+                    MEM_HITS.fetch_add(1, Ordering::Relaxed);
+                    Ok((*v, SatLookup::MemHit))
+                }
+                Err(e) => Err(SaturationError {
+                    label: q.label.clone(),
+                    ..e.clone()
+                }),
+            },
+            Resolved::Miss => match searched.next().expect("one outcome per miss") {
+                Ok(found) => {
+                    let lookup = if found.warm == WarmOutcome::Accepted {
+                        WARMED_SEARCHES.fetch_add(1, Ordering::Relaxed);
+                        SatLookup::Warmed
+                    } else {
+                        COLD_SEARCHES.fetch_add(1, Ordering::Relaxed);
+                        SatLookup::Searched
+                    };
+                    validate_sat(&q.label, q.app, found.load)
+                        .inspect(|&sat| {
+                            sat_cache().lock().expect(MEM_POISONED).insert(key, sat);
+                            // The cache is an optimization, not a
+                            // dependency: a failed write costs a re-search.
+                            if let Err(e) = disk_write(key, sat, &q.label) {
+                                eprintln!(
+                                    "[sweep] warning: could not persist saturation cache \
+                                     entry sat_{key:016x}: {e}"
+                                );
+                            }
+                        })
+                        .map(|sat| (sat, lookup))
+                }
+                Err(payload) => {
+                    panicked.get_or_insert_with(|| {
+                        format!(
+                            "saturation search for {} (app {}) panicked: {}",
+                            q.label,
+                            q.app,
+                            crate::runner::panic_message(payload.as_ref())
+                        )
+                    });
+                    // Never returned: the batch re-raises once every
+                    // sibling is cached.
+                    Err(SaturationError {
+                        label: q.label.clone(),
+                        app: q.app,
+                        load: f64::NAN,
+                    })
+                }
+            },
+        };
+        out.push(r);
+    }
+    if let Some(msg) = panicked {
+        panic!("{msg}");
+    }
+    out
+}
+
+/// [`try_cached_saturations`] for one query (the same lookup path).
 pub fn try_cached_saturation_traced(
     label: &str,
     ec: &ExpConfig,
@@ -337,40 +491,16 @@ pub fn try_cached_saturation_traced(
     app: u8,
     spec: &AppSpec,
 ) -> Result<(f64, SatLookup), SaturationError> {
-    let probe = if ec.quick {
-        SaturationProbe::quick()
-    } else {
-        SaturationProbe::default()
+    let query = SatQuery {
+        label: label.to_string(),
+        cfg,
+        region,
+        app,
+        spec,
     };
-    let key = sat_digest(&probe, cfg, region, app, spec);
-    if let Some(&v) = sat_cache().lock().unwrap().map.get(&key) {
-        MEM_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok((v, SatLookup::MemHit));
-    }
-    if let Some(v) = disk_read(key) {
-        DISK_HITS.fetch_add(1, Ordering::Relaxed);
-        sat_cache().lock().unwrap().insert(key, v);
-        return Ok((v, SatLookup::DiskHit));
-    }
-    let warm = if cold_searches_forced() {
-        None
-    } else {
-        model::warm_hint(cfg, region, app, spec, model::RoutingKind::Adaptive)
-    };
-    let out = app_saturation_traced(&probe, cfg, region, app, spec, warm, || {
-        Routing::Local.build()
-    });
-    let lookup = if out.warm == WarmOutcome::Accepted {
-        WARMED_SEARCHES.fetch_add(1, Ordering::Relaxed);
-        SatLookup::Warmed
-    } else {
-        COLD_SEARCHES.fetch_add(1, Ordering::Relaxed);
-        SatLookup::Searched
-    };
-    let sat = validate_sat(label, app, out.load)?;
-    sat_cache().lock().unwrap().insert(key, sat);
-    disk_write(key, sat, label);
-    Ok((sat, lookup))
+    try_cached_saturations(ec, &[query])
+        .pop()
+        .expect("one result per query")
 }
 
 /// Reject a degenerate measured load (zero, negative, NaN, ∞) with the
@@ -389,11 +519,20 @@ fn validate_sat(label: &str, app: u8, sat: f64) -> Result<f64, SaturationError> 
     }
 }
 
-/// [`try_cached_saturation_traced`], panicking on a degenerate search with
-/// the structured error's message. Figure drivers run inside the
-/// panic-safe parallel runner, which downcasts string payloads — so a
-/// degenerate configuration surfaces as one failed job with the label in
-/// its message, not a sweep abort.
+/// [`try_cached_saturations`], panicking on the calling thread — after the
+/// whole batch has finished and been cached — with the first degenerate
+/// search's structured message. Figure drivers run inside the panic-safe
+/// parallel runner, which downcasts string payloads — so a degenerate
+/// configuration surfaces as one failed job with the label in its message,
+/// not a sweep abort.
+pub fn cached_saturations(ec: &ExpConfig, queries: &[SatQuery]) -> Vec<(f64, SatLookup)> {
+    try_cached_saturations(ec, queries)
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
+        .collect()
+}
+
+/// [`cached_saturations`] for one query.
 pub fn cached_saturation_traced(
     label: &str,
     ec: &ExpConfig,
@@ -483,11 +622,19 @@ mod tests {
         }
     }
 
+    /// App 0 owns every node but one corner, which is app 1's region.
+    /// With all of app 0's traffic bound outward, that corner's ejection
+    /// port is overloaded at every probed rate, so the search collapses to
+    /// zero.
+    fn funnel_region(cfg: &SimConfig) -> RegionMap {
+        RegionMap::from_fn(cfg, 2, |c| u8::from(c.x == 0 && c.y == 0))
+    }
+
     /// A degenerate saturation search inside a sweep job surfaces as one
     /// labeled `JobError` carrying the structured message, while sibling
     /// jobs run to completion — the sweep does not abort. The failing job
-    /// panics exactly the way [`cached_saturation_traced`] does on
-    /// [`validate_sat`]'s error.
+    /// runs a real collapsing search through [`cached_saturations`], which
+    /// re-raises the error on the job's own thread.
     #[test]
     fn saturation_error_is_survived_by_the_sweep_runner() {
         let healthy = || {
@@ -511,8 +658,18 @@ mod tests {
         let jobs = vec![
             Job::new("ok/before", healthy),
             Job::new("fig9/degenerate", || {
-                let e = validate_sat("fig9/degenerate", 2, 0.0).unwrap_err();
-                panic!("{e}")
+                let cfg = SimConfig::table1();
+                let funnel = funnel_region(&cfg);
+                let outward = AppSpec::with_inter(0.0, 1.0, InterDest::OutsideUniform);
+                let query = SatQuery {
+                    label: "fig9/degenerate".into(),
+                    cfg: &cfg,
+                    region: &funnel,
+                    app: 0,
+                    spec: &outward,
+                };
+                cached_saturations(&ExpConfig::quick(), &[query]);
+                unreachable!("a collapsed search must panic")
             }),
             Job::new("ok/after", healthy),
         ];
@@ -524,7 +681,7 @@ mod tests {
         assert_eq!(err.label, "fig9/degenerate");
         assert!(
             err.message.contains("saturation search collapsed to 0")
-                && err.message.contains("app 2"),
+                && err.message.contains("fig9/degenerate (app 0)"),
             "structured message lost: {}",
             err.message
         );
@@ -609,7 +766,7 @@ mod tests {
     fn disk_entries_are_atomic_and_readable() {
         let _guard = env_lock();
         let _tmp = TempCacheDir::new("atomic");
-        disk_write(0xDEAD_BEEF, 0.314159, "demo/label");
+        disk_write(0xDEAD_BEEF, 0.314159, "demo/label").unwrap();
         let v = disk_read(0xDEAD_BEEF).unwrap();
         assert_eq!(v.to_bits(), 0.314159f64.to_bits());
         // No stray temp files remain after a completed write.
@@ -668,6 +825,206 @@ mod tests {
         assert!(
             path.with_extension("txt.corrupt").exists(),
             "damaged entry set aside for post-mortems"
+        );
+    }
+
+    /// Concurrent searches of one key each persist it: every write
+    /// commits, the key holds exactly one valid v2 entry whichever write
+    /// lands last, and no writer's temp file survives.
+    #[test]
+    fn concurrent_disk_writes_of_one_key_leave_one_valid_entry() {
+        let _guard = env_lock();
+        let _tmp = TempCacheDir::new("concurrent-write");
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    // Labels of different lengths, so interleaved bytes
+                    // from two writers could not pass the CRC.
+                    disk_write(0x5EED, 0.4375, &format!("writer/{}", "x".repeat(t)))
+                        .expect("every concurrent write commits");
+                });
+            }
+        });
+        let names: Vec<String> = std::fs::read_dir(cache_dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [format!("sat_{:016x}.txt", 0x5EED)], "{names:?}");
+        let text = std::fs::read_to_string(cache_path(0x5EED)).unwrap();
+        assert!(text.starts_with("v2 "), "{text}");
+        assert_eq!(parse_cache_entry(&text), Some(0.4375));
+    }
+
+    /// Figure 14's traffic mix: 75 % intra-region UR, 20 % global, 5 % MC.
+    fn six_app_mix() -> AppSpec {
+        AppSpec {
+            rate_flits: 0.0,
+            intra: 0.75,
+            inter: 0.20,
+            inter_dest: InterDest::OutsideUniform,
+            mc: 0.05,
+        }
+    }
+
+    /// Restores `RAIR_THREADS` to its value at construction.
+    struct ThreadsVar(Option<std::ffi::OsString>);
+
+    impl ThreadsVar {
+        fn set(value: Option<&str>) -> Self {
+            let saved = Self(std::env::var_os("RAIR_THREADS"));
+            match value {
+                Some(v) => std::env::set_var("RAIR_THREADS", v),
+                None => std::env::remove_var("RAIR_THREADS"),
+            }
+            saved
+        }
+    }
+
+    impl Drop for ThreadsVar {
+        fn drop(&mut self) {
+            match &self.0 {
+                Some(v) => std::env::set_var("RAIR_THREADS", v),
+                None => std::env::remove_var("RAIR_THREADS"),
+            }
+        }
+    }
+
+    /// A batch returns exactly what the same queries return one at a time,
+    /// from an empty cache each: bit-identical loads, the same provenance,
+    /// the same disk entries, one search per distinct key (duplicates under
+    /// other labels are memory hits), serial or on the default pool.
+    #[test]
+    fn batch_is_bit_identical_to_sequential_single_queries() {
+        let _guard = env_lock();
+        let cfg = SimConfig::table1();
+        let region = RegionMap::six_regions(&cfg);
+        let mix = six_app_mix();
+        let ec = ExpConfig::quick();
+        let mut queries: Vec<SatQuery> = (0..6)
+            .map(|a| SatQuery {
+                label: format!("six/mix/app{a}"),
+                cfg: &cfg,
+                region: &region,
+                app: a,
+                spec: &mix,
+            })
+            .collect();
+        for a in [1, 4] {
+            queries.push(SatQuery {
+                label: format!("dup/app{a}"),
+                ..queries[a].clone()
+            });
+        }
+        let run = |tag: &str, threads: Option<&str>, batch: bool| {
+            let tmp = TempCacheDir::new(tag);
+            let _threads = ThreadsVar::set(threads);
+            clear_saturation_cache();
+            let (mem0, _, warm0, cold0) = saturation_cache_stats();
+            let got: Vec<(u64, SatLookup)> = if batch {
+                cached_saturations(&ec, &queries)
+            } else {
+                queries
+                    .iter()
+                    .map(|q| {
+                        cached_saturation_traced(&q.label, &ec, q.cfg, q.region, q.app, q.spec)
+                    })
+                    .collect()
+            }
+            .into_iter()
+            .map(|(v, how)| (v.to_bits(), how))
+            .collect();
+            let (mem1, _, warm1, cold1) = saturation_cache_stats();
+            assert_eq!(
+                warm1 - warm0 + cold1 - cold0,
+                6,
+                "{tag}: one search per distinct key"
+            );
+            assert_eq!(mem1 - mem0, 2, "{tag}: duplicates are memory hits");
+            assert_eq!(
+                got[6..],
+                [(got[1].0, SatLookup::MemHit), (got[4].0, SatLookup::MemHit)]
+            );
+            let disk: BTreeMap<String, String> = std::fs::read_dir(&tmp.dir)
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    let text = std::fs::read_to_string(e.path()).unwrap();
+                    (e.file_name().to_string_lossy().into_owned(), text)
+                })
+                .collect();
+            assert_eq!(disk.len(), 6, "{tag}: {disk:?}");
+            (got, disk)
+        };
+        let sequential = run("seq", Some("1"), false);
+        let serial_batch = run("batch-serial", Some("1"), true);
+        let pooled_batch = run("batch-pool", None, true);
+        assert_eq!(sequential, serial_batch);
+        assert_eq!(sequential, pooled_batch);
+    }
+
+    /// A degenerate query fails alone: its index comes back as a labeled
+    /// error (or, for a search that panics, the batch re-raises with label
+    /// and app) while its siblings finish and are cached.
+    #[test]
+    fn failing_query_is_isolated_in_the_batch() {
+        let _guard = env_lock();
+        let _tmp = TempCacheDir::new("isolation");
+        clear_saturation_cache();
+        let cfg = SimConfig::table1();
+        let halves = RegionMap::halves(&cfg);
+        let quadrants = RegionMap::quadrants(&cfg);
+        let funnel = funnel_region(&cfg);
+        let intra = AppSpec::intra_only(0.0);
+        let outward = AppSpec::with_inter(0.0, 1.0, InterDest::OutsideUniform);
+        let ec = ExpConfig::quick();
+        let query = |label: &str, region, app, spec| SatQuery {
+            label: label.to_string(),
+            cfg: &cfg,
+            region,
+            app,
+            spec,
+        };
+
+        let out = try_cached_saturations(
+            &ec,
+            &[
+                query("iso/collapse", &funnel, 0, &outward),
+                query("iso/ok", &halves, 0, &intra),
+            ],
+        );
+        let err = out[0].as_ref().unwrap_err();
+        assert_eq!(
+            (err.label.as_str(), err.app, err.load),
+            ("iso/collapse", 0, 0.0)
+        );
+        let &(ok, _) = out[1].as_ref().unwrap();
+        clear_saturation_cache();
+        let (again, how) =
+            try_cached_saturation_traced("iso/ok", &ec, &cfg, &halves, 0, &intra).unwrap();
+        assert_eq!((again.to_bits(), how), (ok.to_bits(), SatLookup::DiskHit));
+
+        // Application 7 has no nodes: its search panics.
+        let raised = catch_unwind(AssertUnwindSafe(|| {
+            try_cached_saturations(
+                &ec,
+                &[
+                    query("iso/ghost", &halves, 7, &intra),
+                    query("iso/sibling", &quadrants, 0, &intra),
+                ],
+            )
+        }))
+        .unwrap_err();
+        let msg = crate::runner::panic_message(raised.as_ref());
+        assert!(msg.contains("iso/ghost") && msg.contains("app 7"), "{msg}");
+        let (_, how) =
+            try_cached_saturation_traced("iso/sibling", &ec, &cfg, &quadrants, 0, &intra).unwrap();
+        assert_eq!(
+            how,
+            SatLookup::MemHit,
+            "sibling of a panicking search is cached"
         );
     }
 
