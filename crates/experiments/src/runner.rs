@@ -16,18 +16,19 @@
 //!   is deterministic, so "this config is too slow" is exactly "this
 //!   config was asked to simulate too many cycles". A clamped run is
 //!   marked [`RunResult::truncated`] instead of silently passing.
-//! - **Interruption**: [`run_parallel_checkpointed`] appends every
+//! - **Interruption**: [`run_parallel_checkpointed`] journals every
 //!   finished result to a checkpoint file and, on restart, resumes the
 //!   sweep by replaying completed labels from it instead of re-running
 //!   them. The file is deleted once every job has succeeded.
 
+use crate::service::{record, Journal};
 use metrics::LatencyKind;
 use noc_sim::network::Network;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Warmup/measurement window and seed for one experiment.
@@ -84,7 +85,7 @@ impl ExpConfig {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RunResult {
     /// Label identifying the run (scheme, parameters…).
     pub label: String,
@@ -412,129 +413,6 @@ pub fn run_parallel_results(jobs: Vec<Job>) -> Vec<Result<RunResult, JobError>> 
         .collect()
 }
 
-/// Version tag guarding checkpoint lines against stale formats; bump when
-/// the [`RunResult`] line layout changes so old files are ignored, not
-/// misparsed.
-const CHECKPOINT_TAG: &str = "rair-ckpt-v1";
-
-pub(crate) fn esc_label(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('\t', "\\t")
-        .replace('\n', "\\n")
-}
-
-pub(crate) fn unesc_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('\\') => out.push('\\'),
-            Some(o) => {
-                out.push('\\');
-                out.push(o);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// Exact (bit-level) float round-trip: decimal formatting would perturb
-/// resumed results relative to a straight-through run.
-fn f64_field(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn parse_f64_field(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-/// `Vec<Option<f64>>` as one field: `-` for the empty vector, else a
-/// comma list with `_` marking `None` (so `[]` and `[None]` stay distinct).
-fn latency_field(v: &[Option<f64>]) -> String {
-    if v.is_empty() {
-        return "-".into();
-    }
-    v.iter()
-        .map(|o| o.map_or_else(|| "_".into(), f64_field))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn parse_latency_field(s: &str) -> Option<Vec<Option<f64>>> {
-    if s == "-" {
-        return Some(Vec::new());
-    }
-    s.split(',')
-        .map(|t| {
-            if t == "_" {
-                Some(None)
-            } else {
-                parse_f64_field(t).map(Some)
-            }
-        })
-        .collect()
-}
-
-/// One completed result as a single checkpoint line (tab-separated,
-/// version-tagged, floats bit-exact).
-pub(crate) fn checkpoint_line(r: &RunResult) -> String {
-    format!(
-        "{CHECKPOINT_TAG}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        esc_label(&r.label),
-        r.delivered,
-        f64_field(r.throughput),
-        r.cycles,
-        r.routers,
-        r.router_cycles_skipped,
-        r.state_updates_skipped,
-        r.idle_cycles_skipped,
-        u8::from(r.oracle_enabled),
-        r.oracle_violations,
-        u8::from(r.truncated),
-        r.flits_retransmitted,
-        r.packets_retried,
-        r.packets_dropped,
-        r.reconfigurations,
-        latency_field(&r.apl),
-        latency_field(&r.total_latency),
-    )
-}
-
-/// Parse one checkpoint line; any malformed, truncated (partial write at
-/// interruption) or version-mismatched line is skipped, not fatal.
-pub(crate) fn parse_checkpoint_line(line: &str) -> Option<RunResult> {
-    let f: Vec<&str> = line.split('\t').collect();
-    if f.len() != 18 || f[0] != CHECKPOINT_TAG {
-        return None;
-    }
-    Some(RunResult {
-        label: unesc_label(f[1]),
-        delivered: f[2].parse().ok()?,
-        throughput: parse_f64_field(f[3])?,
-        cycles: f[4].parse().ok()?,
-        routers: f[5].parse().ok()?,
-        router_cycles_skipped: f[6].parse().ok()?,
-        state_updates_skipped: f[7].parse().ok()?,
-        idle_cycles_skipped: f[8].parse().ok()?,
-        oracle_enabled: f[9] == "1",
-        oracle_violations: f[10].parse().ok()?,
-        truncated: f[11] == "1",
-        flits_retransmitted: f[12].parse().ok()?,
-        packets_retried: f[13].parse().ok()?,
-        packets_dropped: f[14].parse().ok()?,
-        reconfigurations: f[15].parse().ok()?,
-        apl: parse_latency_field(f[16])?,
-        total_latency: parse_latency_field(f[17])?,
-    })
-}
-
 /// Like [`run_parallel_results`], but resumable: results already present
 /// in the checkpoint file (matched by job label — labels must be unique
 /// within a sweep) are replayed without re-running their jobs, every fresh
@@ -548,35 +426,33 @@ pub fn run_parallel_checkpointed(
     run_parallel_checkpointed_with(crate::service::std_store(), jobs, checkpoint)
 }
 
-/// Checkpoint rows that failed to append (EIO/ENOSPC/torn) since process
-/// start; surfaced in sweep summaries so degraded resume coverage is
-/// visible instead of silent.
-static CHECKPOINT_WRITE_ERRORS: AtomicU64 = AtomicU64::new(0);
-
-/// Checkpoint rows that could not be made durable so far (process-wide).
-pub fn checkpoint_write_errors() -> u64 {
-    CHECKPOINT_WRITE_ERRORS.load(Ordering::Relaxed)
-}
-
 /// [`run_parallel_checkpointed`] over an injectable [`Store`] — the seam
-/// the chaos battery drives disk faults through. Each fresh result is
-/// appended *durably* (fsync'd) before the job counts as checkpointed; an
-/// append failure is warned about and counted, never fatal: the sweep
-/// still completes, only its resume coverage shrinks.
+/// the chaos battery drives disk faults through. The checkpoint is a
+/// [`Journal`] of `done` rows: each fresh result is appended *durably*
+/// (fsync'd), and resume follows [`Journal::replay`]'s rules — a torn
+/// final row is dropped, a corrupt interior row is quarantined to
+/// `<checkpoint>.quarantine` — so a damaged row only re-runs its job. An
+/// append failure is counted and warned about by the journal, never
+/// fatal: the sweep still completes, only its resume coverage shrinks.
+///
+/// [`Store`]: crate::service::Store
 pub fn run_parallel_checkpointed_with(
     store: &dyn crate::service::Store,
     jobs: Vec<Job>,
     checkpoint: &Path,
 ) -> Vec<Result<RunResult, JobError>> {
     let n = jobs.len();
-    let mut cached: BTreeMap<String, RunResult> = BTreeMap::new();
-    if let Ok(bytes) = store.read(checkpoint) {
-        for line in String::from_utf8_lossy(&bytes).lines() {
-            if let Some(r) = parse_checkpoint_line(line) {
-                cached.insert(r.label.clone(), r);
-            }
-        }
-    }
+    let journal = Journal::new(checkpoint, store);
+    let cached: BTreeMap<String, RunResult> = journal
+        .replay()
+        .rows
+        .iter()
+        .filter_map(|row| {
+            row.strip_prefix("done\t")
+                .and_then(record::parse_result_line)
+        })
+        .map(|r| (r.label.clone(), r))
+        .collect();
     let mut out: Vec<Option<Result<RunResult, JobError>>> = (0..n).map(|_| None).collect();
     let mut pending = Vec::new();
     for (idx, job) in jobs.into_iter().enumerate() {
@@ -603,20 +479,7 @@ pub fn run_parallel_checkpointed_with(
                 }
             }
         }
-        let warned = std::sync::atomic::AtomicBool::new(false);
-        let append = |r: &RunResult| {
-            let line = format!("{}\n", checkpoint_line(r));
-            if let Err(e) = store.append_durable(checkpoint, line.as_bytes()) {
-                CHECKPOINT_WRITE_ERRORS.fetch_add(1, Ordering::Relaxed);
-                if !warned.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "[sweep] warning: checkpoint append to {} failed ({e}); \
-                         affected rows will re-run on resume",
-                        checkpoint.display()
-                    );
-                }
-            }
-        };
+        let append = |r: &RunResult| journal.append(&format!("done\t{}", record::result_line(r)));
         for (idx, r) in run_indexed(pending, n, resumed, &append) {
             out[idx] = Some(r);
         }
@@ -625,12 +488,16 @@ pub fn run_parallel_checkpointed_with(
         .into_iter()
         .map(|r| r.expect("all jobs resolved"))
         .collect();
-    if results.iter().all(Result::is_ok) && store.exists(checkpoint) {
-        if let Err(e) = store.remove(checkpoint) {
-            eprintln!(
-                "[sweep] warning: could not remove completed checkpoint {}: {e}",
-                checkpoint.display()
-            );
+    if results.iter().all(Result::is_ok) {
+        for path in [checkpoint, &journal.quarantine_path()] {
+            if store.exists(path) {
+                if let Err(e) = store.remove(path) {
+                    eprintln!(
+                        "[sweep] warning: could not remove completed checkpoint file {}: {e}",
+                        path.display()
+                    );
+                }
+            }
         }
     }
     results
@@ -724,16 +591,7 @@ mod tests {
             throughput: 0.01,
             cycles: 1_000,
             routers: 64,
-            router_cycles_skipped: 0,
-            state_updates_skipped: 0,
-            idle_cycles_skipped: 0,
-            oracle_enabled: false,
-            oracle_violations: 0,
-            truncated: false,
-            flits_retransmitted: 0,
-            packets_retried: 0,
-            packets_dropped: 0,
-            reconfigurations: 0,
+            ..RunResult::default()
         };
         assert!(r.app_apl(0).is_nan());
         assert_eq!(r.try_app_apl(0), None);
@@ -883,81 +741,83 @@ mod tests {
         assert!(!roomy.truncated);
     }
 
-    #[test]
-    fn checkpoint_line_round_trips_bit_exactly() {
-        let mut r = stub_result("weird\tlabel\\with\nescapes");
-        r.apl = vec![Some(f64::NAN), None, Some(-0.0)];
-        r.total_latency = Vec::new();
-        r.truncated = true;
-        let p = parse_checkpoint_line(&checkpoint_line(&r)).expect("round trip");
-        assert_eq!(p.label, r.label);
-        assert_eq!(p.delivered, r.delivered);
-        assert_eq!(p.throughput.to_bits(), r.throughput.to_bits());
-        assert_eq!(p.cycles, r.cycles);
-        assert_eq!(p.oracle_enabled, r.oracle_enabled);
-        assert!(p.truncated);
-        assert_eq!(p.flits_retransmitted, r.flits_retransmitted);
-        assert_eq!(p.packets_retried, r.packets_retried);
-        assert_eq!(p.packets_dropped, r.packets_dropped);
-        assert_eq!(p.reconfigurations, r.reconfigurations);
-        let bits = |v: &[Option<f64>]| v.iter().map(|o| o.map(f64::to_bits)).collect::<Vec<_>>();
-        assert_eq!(bits(&p.apl), bits(&r.apl));
-        assert!(p.total_latency.is_empty());
-        // Garbage, partial writes, and stale versions are skipped.
-        assert!(parse_checkpoint_line("").is_none());
-        assert!(parse_checkpoint_line("rair-ckpt-v0\tx").is_none());
-        let line = checkpoint_line(&r);
-        assert!(parse_checkpoint_line(&line[..line.len() / 2]).is_none());
+    /// Digest of a sweep's results, for "matches a clean run" checks.
+    fn digest_of(results: &[Result<RunResult, JobError>]) -> u64 {
+        let mut d = metrics::Digest::new();
+        for r in results {
+            let r = r.as_ref().expect("job succeeded");
+            d.write_str(&r.label);
+            r.digest_into(&mut d);
+        }
+        d.finish()
     }
 
     #[test]
     fn checkpointed_sweep_resumes_and_cleans_up() {
         use std::sync::Arc;
         let dir = std::env::temp_dir().join(format!("rair-ckpt-test-{}", std::process::id()));
-        let path = dir.join("sweep.ckpt");
         // lint: allow(swallowed-io-error)
-        let _ = std::fs::remove_file(&path);
-        let calls = Arc::new(AtomicUsize::new(0));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("sweep.ckpt");
+        let quarantine = dir.join("sweep.ckpt.quarantine");
+        let calls: Arc<Mutex<Vec<String>>> = Arc::default();
         let mk = |label: &str, fail: bool| -> Job {
             let calls = calls.clone();
             let label = label.to_string();
             Job::new(label.clone(), move || {
-                calls.fetch_add(1, Ordering::SeqCst);
+                calls.lock().unwrap().push(label.clone());
                 assert!(!fail, "always failing");
                 stub_result(&label)
             })
         };
+        let labels = ["a", "bad", "c"];
+        let clean = digest_of(&run_parallel_results(
+            labels.iter().map(|l| mk(l, false)).collect(),
+        ));
+        calls.lock().unwrap().clear();
         // First pass: two jobs succeed, one fails both attempts — the
         // checkpoint keeps the two successes.
         let r1 =
-            run_parallel_checkpointed(vec![mk("a", false), mk("bad", true), mk("c", false)], &path);
+            run_parallel_checkpointed(labels.iter().map(|&l| mk(l, l == "bad")).collect(), &path);
         assert!(r1[0].is_ok() && r1[2].is_ok());
         assert!(r1[1].is_err());
         assert!(
             path.exists(),
             "partial checkpoint must survive a failed sweep"
         );
-        let after_first = calls.load(Ordering::SeqCst);
         assert_eq!(
-            after_first, 4,
+            calls.lock().unwrap().len(),
+            4,
             "2 successes + 2 attempts of the failing job"
         );
-        // Second pass with the failing job fixed: only it runs; the other
-        // two replay from the checkpoint.
-        let r2 = run_parallel_checkpointed(
-            vec![mk("a", false), mk("bad", false), mk("c", false)],
-            &path,
-        );
-        assert!(r2.iter().all(Result::is_ok));
+        // Flip one byte in the interior (first) row: replay quarantines it
+        // and exactly the job it recorded re-runs, besides the fixed one.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let first = text.lines().next().unwrap();
+        let corrupted = crate::service::Journal::parse_line(first)
+            .and_then(|row| row.strip_prefix("done\t"))
+            .and_then(record::parse_result_line)
+            .expect("rows are framed done rows")
+            .label;
+        let mid = first.len() / 2;
+        let mut bytes = text.into_bytes();
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        calls.lock().unwrap().clear();
+        let r2 = run_parallel_checkpointed(labels.iter().map(|l| mk(l, false)).collect(), &path);
+        let mut reran = calls.lock().unwrap().clone();
+        reran.sort();
+        let mut expected = [corrupted.as_str(), "bad"];
+        expected.sort_unstable();
+        assert_eq!(reran, expected, "only the damaged row re-runs");
         assert_eq!(
-            calls.load(Ordering::SeqCst),
-            after_first + 1,
-            "resumed jobs must not re-run"
+            digest_of(&r2),
+            clean,
+            "resumed sweep must match a clean run"
         );
-        assert_eq!(r2[0].as_ref().unwrap().label, "a");
         assert!(
-            !path.exists(),
-            "checkpoint removed after a fully green sweep"
+            !path.exists() && !quarantine.exists(),
+            "checkpoint and quarantine removed after a fully green sweep"
         );
         // lint: allow(swallowed-io-error)
         let _ = std::fs::remove_dir_all(&dir);
@@ -965,30 +825,72 @@ mod tests {
 
     #[test]
     fn checkpoint_append_failure_is_counted_never_fatal() {
-        use crate::service::{ChaosStore, Fault};
+        use crate::service::{ChaosStore, Fault, Store};
+        use std::sync::Arc;
         let dir = std::env::temp_dir().join(format!("rair-ckpt-enospc-{}", std::process::id()));
         // lint: allow(swallowed-io-error)
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("sweep.ckpt");
-        // Ops: 0 = read (miss), 1 = create_dir_all, 2+ = appends. The first
-        // append hits ENOSPC; the sweep must still complete green.
-        let store = ChaosStore::scripted(vec![(2, Fault::Enospc)]);
-        let before = checkpoint_write_errors();
-        let jobs = vec![
-            Job::new("a", || stub_result("a")),
-            Job::new("b", || stub_result("b")),
-        ];
-        let r = run_parallel_checkpointed_with(&store, jobs, &path);
+        // Ops: 0 = replay read (miss), 1 = create_dir_all, 2 + i = the
+        // append of job i.
+        const FIRST_APPEND: u64 = 2;
+        let store = Arc::new(ChaosStore::scripted(vec![
+            (3, Fault::Enospc),
+            (5, Fault::Eio),
+        ]));
+        let labels: Vec<String> = (0..5).map(|i| format!("j{i}")).collect();
+        // Job i returns only once the appends of jobs 0..i have been
+        // attempted, so append op 2 + i belongs to job i on any pool size.
+        let mut jobs: Vec<Job> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, label)| {
+                let (store, label) = (Arc::clone(&store), label.clone());
+                Job::new(label.clone(), move || {
+                    while store.ops() < FIRST_APPEND + i as u64 {
+                        std::thread::yield_now();
+                    }
+                    stub_result(&label)
+                })
+            })
+            .collect();
+        jobs.push(Job::new("bad", || panic!("keeps the checkpoint")));
+        let r1 = run_parallel_checkpointed_with(store.as_ref(), jobs, &path);
         assert!(
-            r.iter().all(Result::is_ok),
-            "append failure must not fail jobs"
+            r1[..5].iter().all(Result::is_ok),
+            "append failures must not fail jobs"
         );
-        assert_eq!(
-            checkpoint_write_errors(),
-            before + 1,
-            "the failed append must be counted"
+        let failed: Vec<&str> = store
+            .injected()
+            .iter()
+            .map(|inj| labels[(inj.op - FIRST_APPEND) as usize].as_str())
+            .collect();
+        assert_eq!(failed, ["j1", "j3"]);
+
+        // Resume: exactly the rows whose append failed re-run (plus the
+        // job that failed outright), and the results match a clean run.
+        let calls: Arc<Mutex<Vec<String>>> = Arc::default();
+        let mk = |label: &str| {
+            let (calls, label) = (Arc::clone(&calls), label.to_string());
+            Job::new(label.clone(), move || {
+                calls.lock().unwrap().push(label.clone());
+                stub_result(&label)
+            })
+        };
+        let all: Vec<&str> = labels.iter().map(String::as_str).chain(["bad"]).collect();
+        let r2 = run_parallel_checkpointed_with(
+            store.as_ref(),
+            all.iter().map(|l| mk(l)).collect(),
+            &path,
         );
-        assert!(!path.exists(), "green sweep still cleans up");
+        let mut reran = calls.lock().unwrap().clone();
+        reran.sort();
+        let mut expected = [failed, vec!["bad"]].concat();
+        expected.sort_unstable();
+        assert_eq!(reran, expected);
+        let clean = run_parallel_results(all.iter().map(|l| mk(l)).collect());
+        assert_eq!(digest_of(&r2), digest_of(&clean));
+        assert!(!store.exists(&path), "green sweep still cleans up");
         // lint: allow(swallowed-io-error)
         let _ = std::fs::remove_dir_all(&dir);
     }

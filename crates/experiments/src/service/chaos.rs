@@ -11,6 +11,7 @@
 //! | `journal-interior`       | byte flipped in an interior journal row   |
 //! | `checkpoint-corrupt`     | corrupted `run_parallel_checkpointed` row |
 //! | `cache-corrupt`          | corrupted saturation disk-cache entry     |
+//! | `cache-store-faults`     | EIO/torn/crash on the saturation cache's store ops |
 //! | `append-faults`          | seeded EIO/ENOSPC/torn/crash via chaos store |
 //! | `sigkill-resume`         | child `repro serve` SIGKILLed mid-sweep   |
 //!
@@ -23,11 +24,15 @@
 
 use super::journal::Journal;
 use super::serve::{serve, JobExec, JobSpec, ServeConfig};
-use super::store::{ChaosConfig, ChaosStore, StdStore};
+use super::store::{std_store, ChaosConfig, ChaosStore, Fault, StdStore, Store};
 use crate::runner::{self, ExpConfig, Job, RunResult};
+use crate::sweep::{self, SatLookup, SatQuery};
+use noc_sim::config::SimConfig;
+use noc_sim::region::RegionMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
+use traffic::scenario::AppSpec;
 
 /// Outcome of one battery.
 #[derive(Debug, Clone)]
@@ -160,6 +165,15 @@ impl XorShift {
     }
 }
 
+/// How a recovered value compares with the reference.
+fn verdict(same: bool) -> &'static str {
+    if same {
+        "bit-identical"
+    } else {
+        "DIVERGED"
+    }
+}
+
 /// Run the reference sweep: untouched storage, real simulations.
 fn reference(exec: &JobExec) -> (u64, Vec<u8>) {
     let dir = fresh_dir("reference");
@@ -272,11 +286,7 @@ fn battery_interior(refd: u64, journal: &[u8], exec: &JobExec) -> Battery {
             "corrupt row at line {} quarantined={} digest {}",
             target + 1,
             report.journal_quarantined_rows,
-            if d == refd {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            }
+            verdict(d == refd)
         ),
     }
 }
@@ -288,26 +298,15 @@ fn battery_checkpoint(dirtag: &str) -> Battery {
     use std::sync::Arc;
     let dir = fresh_dir(dirtag);
     let path = dir.join("sweep.ckpt");
-    let stub = |label: &str| -> RunResult {
-        RunResult {
-            label: label.into(),
-            apl: vec![Some(label.len() as f64 + 7.25)],
-            total_latency: vec![Some(label.len() as f64 + 9.5)],
-            delivered: label.len() as u64 * 3,
-            throughput: 0.25,
-            cycles: 800,
-            routers: 64,
-            router_cycles_skipped: 0,
-            state_updates_skipped: 0,
-            idle_cycles_skipped: 0,
-            oracle_enabled: false,
-            oracle_violations: 0,
-            truncated: false,
-            flits_retransmitted: 0,
-            packets_retried: 0,
-            packets_dropped: 0,
-            reconfigurations: 0,
-        }
+    let stub = |label: &str| RunResult {
+        label: label.into(),
+        apl: vec![Some(label.len() as f64 + 7.25)],
+        total_latency: vec![Some(label.len() as f64 + 9.5)],
+        delivered: label.len() as u64 * 3,
+        throughput: 0.25,
+        cycles: 800,
+        routers: 64,
+        ..RunResult::default()
     };
     let digest_of = |rs: &[Result<RunResult, runner::JobError>]| -> u64 {
         let mut d = metrics::Digest::new();
@@ -356,7 +355,8 @@ fn battery_checkpoint(dirtag: &str) -> Battery {
         &path,
     );
     let resumed = digest_of(&r2);
-    let ok = pass1_ok && r2.iter().all(Result::is_ok) && resumed == clean && !path.exists();
+    let cleaned = !path.exists() && !dir.join("sweep.ckpt.quarantine").exists();
+    let ok = pass1_ok && r2.iter().all(Result::is_ok) && resumed == clean && cleaned;
     // lint: allow(swallowed-io-error)
     let _ = std::fs::remove_dir_all(&dir);
     Battery {
@@ -364,81 +364,132 @@ fn battery_checkpoint(dirtag: &str) -> Battery {
         faults: 1,
         recovered: ok,
         detail: if ok {
-            "corrupt row skipped, re-run matched the clean sweep, file cleaned up".into()
+            "corrupt row quarantined, re-run matched the clean sweep, files cleaned up".into()
         } else {
             format!(
                 "pass1_ok={pass1_ok} resumed={resumed:016x} clean={clean:016x} \
-                 removed={}",
-                !path.exists()
+                 removed={cleaned}"
             )
         },
     }
+}
+
+/// One saturation lookup through `store`, memory layer cleared first.
+type SatLookupFn<'a> = dyn Fn(&dyn Store) -> Result<(f64, SatLookup), String> + 'a;
+
+/// Run a saturation-cache battery against its own `RAIR_CACHE_DIR`. The
+/// variable is process-global; `repro chaos` runs batteries sequentially
+/// on the main thread, so this scoped override is safe. `body` gets a
+/// lookup of one fixed query and the cache directory, and returns
+/// `(recovered, detail)`.
+fn sat_cache_battery(
+    tag: &str,
+    body: impl FnOnce(&SatLookupFn, &Path) -> Result<(bool, String), String>,
+) -> (bool, String) {
+    let dir = fresh_dir(tag);
+    std::env::set_var("RAIR_CACHE_DIR", &dir);
+    let cfg = SimConfig::table1();
+    let region = RegionMap::halves(&cfg);
+    let spec = AppSpec::intra_only(0.0);
+    let ec = chaos_ec();
+    let query = [SatQuery {
+        label: format!("chaos/{tag}"),
+        cfg: &cfg,
+        region: &region,
+        app: 0,
+        spec: &spec,
+    }];
+    let lookup = |store: &dyn Store| {
+        sweep::clear_saturation_cache();
+        let found = sweep::lookup(store, &ec, &query).pop().expect("one result");
+        found.map_err(|e| e.to_string())
+    };
+    let out = body(&lookup, &dir);
+    std::env::remove_var("RAIR_CACHE_DIR");
+    sweep::clear_saturation_cache();
+    // lint: allow(swallowed-io-error)
+    let _ = std::fs::remove_dir_all(&dir);
+    out.unwrap_or_else(|e| (false, e))
 }
 
 /// Battery: corrupt a live saturation disk-cache entry; the re-search must
 /// produce the bit-identical value, the entry must be set aside as
 /// `*.corrupt`, and the corruption counter must tick.
 fn battery_cache_corrupt() -> Battery {
-    use noc_sim::config::SimConfig;
-    use noc_sim::region::RegionMap;
-    use traffic::scenario::AppSpec;
-    let dir = fresh_dir("satcache");
-    // The env var is process-global; `repro chaos` runs batteries
-    // sequentially on the main thread, so this scoped override is safe.
-    std::env::set_var("RAIR_CACHE_DIR", &dir);
-    crate::sweep::clear_saturation_cache();
-    let cfg = SimConfig::table1();
-    let region = RegionMap::halves(&cfg);
-    let ec = chaos_ec();
-    let spec = AppSpec::intra_only(0.0);
-    let before = crate::sweep::saturation_cache_corrupt_count();
-    let out = (|| -> Result<(bool, String), String> {
-        let (v1, _) =
-            crate::sweep::try_cached_saturation_traced("chaos/sat", &ec, &cfg, &region, 0, &spec)
-                .map_err(|e| e.to_string())?;
-        let entry = std::fs::read_dir(&dir)
-            .map_err(|e| e.to_string())?
-            .flatten()
-            .map(|e| e.path())
-            .find(|p| p.extension().is_some_and(|x| x == "txt"))
-            .ok_or("no cache entry written")?;
-        // Flip a bit in the stored value.
+    let (recovered, detail) = sat_cache_battery("satcache", |lookup, dir| {
+        let (v1, _) = lookup(std_store())?;
+        let entry = dir.join(
+            std::fs::read_dir(dir)
+                .map_err(|e| e.to_string())?
+                .flatten()
+                .map(|e| e.file_name())
+                .find(|n| n.to_string_lossy().ends_with(".txt"))
+                .ok_or("no cache entry written")?,
+        );
+        // Flip a bit in the stored value (after the tag and the CRC).
         let mut bytes = std::fs::read(&entry).map_err(|e| e.to_string())?;
-        bytes[3] ^= 0x04;
+        bytes[super::record::SAT_TAG.len() + 10 + 3] ^= 0x04;
         std::fs::write(&entry, &bytes).map_err(|e| e.to_string())?;
-        crate::sweep::clear_saturation_cache();
-        let (v2, how) =
-            crate::sweep::try_cached_saturation_traced("chaos/sat2", &ec, &cfg, &region, 0, &spec)
-                .map_err(|e| e.to_string())?;
-        let corrupt_counted = crate::sweep::saturation_cache_corrupt_count() > before;
-        let set_aside = std::fs::read_dir(&dir)
-            .map_err(|e| e.to_string())?
-            .flatten()
-            .any(|e| e.path().extension().is_some_and(|x| x == "corrupt"));
-        let identical = v1.to_bits() == v2.to_bits();
-        let miss = how != crate::sweep::SatLookup::DiskHit;
+        let before = sweep::saturation_cache_corrupt_count();
+        let (v2, how) = lookup(std_store())?;
+        let counted = sweep::saturation_cache_corrupt_count() > before;
+        let set_aside = entry.with_extension("txt.corrupt").exists();
         Ok((
-            identical && miss && corrupt_counted && set_aside,
+            v1.to_bits() == v2.to_bits() && how != SatLookup::DiskHit && counted && set_aside,
             format!(
-                "re-search {} (via {how:?}), counter={} set_aside={set_aside}",
-                if identical {
-                    "bit-identical"
-                } else {
-                    "DIVERGED"
-                },
-                corrupt_counted
+                "re-search {} (via {how:?}), counter={counted} set_aside={set_aside}",
+                verdict(v1.to_bits() == v2.to_bits())
             ),
         ))
-    })();
-    std::env::remove_var("RAIR_CACHE_DIR");
-    crate::sweep::clear_saturation_cache();
-    // lint: allow(swallowed-io-error)
-    let _ = std::fs::remove_dir_all(&dir);
-    let (recovered, detail) = out.unwrap_or_else(|e| (false, e));
+    });
     Battery {
         name: "cache-corrupt",
         faults: 1,
         recovered,
+        detail,
+    }
+}
+
+/// Battery: fault the saturation cache's own store operations against a
+/// real entry — an EIO on its read, then a torn write and a crash before
+/// rename of the re-search's write-back. Every lookup must be a counted
+/// miss whose re-search is bit-identical, or a valid hit of the intact
+/// entry.
+fn battery_cache_store_faults() -> Battery {
+    // A lookup reads (one op); a miss then creates the directory and
+    // writes the entry back (two more).
+    let store = ChaosStore::scripted(vec![
+        (0, Fault::Eio),
+        (2, Fault::Torn),
+        (4, Fault::Eio),
+        (6, Fault::CrashBeforeRename),
+    ]);
+    let (recovered, detail) = sat_cache_battery("satstore", |lookup, _| {
+        let (reference, _) = lookup(std_store())?;
+        let corrupt = sweep::saturation_cache_corrupt_count();
+        let (mut ok, mut seen) = (true, Vec::new());
+        for expect_miss in [true, false, true, false] {
+            let (v, how) = lookup(&store)?;
+            let miss = matches!(how, SatLookup::Warmed | SatLookup::Searched);
+            ok &= v.to_bits() == reference.to_bits()
+                && (miss == expect_miss)
+                && (miss || how == SatLookup::DiskHit);
+            seen.push(format!(
+                "{how:?} {}",
+                verdict(v.to_bits() == reference.to_bits())
+            ));
+        }
+        let intact = sweep::saturation_cache_corrupt_count() == corrupt;
+        Ok((
+            ok && intact,
+            format!("lookups {}; entry intact={intact}", seen.join(", ")),
+        ))
+    });
+    let faults = store.injected().len() as u64;
+    Battery {
+        name: "cache-store-faults",
+        faults,
+        recovered: recovered && faults == 4,
         detail,
     }
 }
@@ -465,11 +516,7 @@ fn battery_append_faults(refd: u64, exec: &JobExec, seed: u64) -> Battery {
             injected.len(),
             store.ops(),
             classes.into_iter().collect::<Vec<_>>().join(", "),
-            if report.sweep_digest == refd {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            },
+            verdict(report.sweep_digest == refd),
             report.journal_write_errors,
         ),
     }
@@ -536,11 +583,7 @@ fn battery_sigkill(refd: u64, exec: &JobExec, rng: &mut XorShift, smoke: bool) -
             "{interrupted} SIGKILL(s) mid-sweep; resumed {} row(s), re-ran {}, digest {}",
             report.resumed,
             report.executed,
-            if report.sweep_digest == refd {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            }
+            verdict(report.sweep_digest == refd)
         ),
     }
 }
@@ -559,6 +602,7 @@ pub fn run(smoke: bool, seed: u64) -> ChaosReport {
         battery_interior(refd, &journal, &exec),
         battery_checkpoint("ckpt"),
         battery_cache_corrupt(),
+        battery_cache_store_faults(),
         battery_append_faults(refd, &exec, seed ^ 0xC4A05),
         battery_sigkill(refd, &exec, &mut rng, smoke),
     ];

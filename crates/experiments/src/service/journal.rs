@@ -1,15 +1,9 @@
 //! Crash-safe job journal: a versioned, per-line-CRC'd write-ahead log.
 //!
 //! Every state transition of the experiment service (`queued`, `running`,
-//! `done`, `failed`, `quarantine`, …) is one line:
-//!
-//! ```text
-//! rair-wal-v1 \t <crc32 of payload, 8 hex digits> \t <payload>
-//! ```
-//!
-//! The payload may itself contain tabs (a `done` row embeds a full
-//! checkpoint-format result line); the frame is recovered with
-//! `splitn(3, '\t')`, so only the first two tabs are structural.
+//! `done`, `failed`, `quarantine`, …) and every finished row of a sweep
+//! checkpoint is one [`record`] frame tagged `rair-wal-v1`. The payload may
+//! itself contain tabs (a `done` row embeds a full result line).
 //!
 //! Recovery ([`Journal::replay`]) replays the longest valid prefix of the
 //! file, with two deliberate asymmetries:
@@ -29,13 +23,10 @@
 //! A CRC mismatch and a truncated frame are treated identically: the row
 //! is unusable, and which bytes went missing is not recoverable.
 
-use super::store::{crc32, Store};
+use super::record::{self, WAL_TAG};
+use super::store::Store;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Version tag opening every journal line; bump when the payload grammar
-/// changes so old journals are quarantined, not misread.
-pub const WAL_TAG: &str = "rair-wal-v1";
 
 /// An append-only, CRC-framed journal over an injectable [`Store`].
 pub struct Journal<'s> {
@@ -75,19 +66,13 @@ impl<'s> Journal<'s> {
 
     /// Frame one payload as a journal line (without trailing newline).
     pub fn frame(payload: &str) -> String {
-        format!("{WAL_TAG}\t{:08x}\t{payload}", crc32(payload.as_bytes()))
+        record::frame(WAL_TAG, payload)
     }
 
     /// Parse one line back into its payload; `None` if the tag, framing or
     /// CRC does not hold.
     pub fn parse_line(line: &str) -> Option<&str> {
-        let mut parts = line.splitn(3, '\t');
-        if parts.next()? != WAL_TAG {
-            return None;
-        }
-        let crc = u32::from_str_radix(parts.next()?, 16).ok()?;
-        let payload = parts.next()?;
-        (crc32(payload.as_bytes()) == crc).then_some(payload)
+        record::unframe(WAL_TAG, line)
     }
 
     /// Append one payload durably. Failures are counted and warned about
@@ -99,7 +84,7 @@ impl<'s> Journal<'s> {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
             if !self.warned.swap(true, Ordering::Relaxed) {
                 eprintln!(
-                    "[serve] warning: journal append to {} failed ({e}); \
+                    "[journal] warning: append to {} failed ({e}); \
                      continuing without durability for affected rows",
                     self.path.display()
                 );
@@ -133,7 +118,7 @@ impl<'s> Journal<'s> {
                     // Interrupted append: at most one torn row, at the end.
                     out.torn_tail = true;
                     eprintln!(
-                        "[serve] journal {}: dropping torn tail line {} \
+                        "[journal] {}: dropping torn tail line {} \
                          (interrupted append; the job it recorded will re-run)",
                         self.path.display(),
                         i + 1
@@ -142,7 +127,7 @@ impl<'s> Journal<'s> {
                 None => {
                     out.quarantined.push((i + 1, (*line).to_string()));
                     eprintln!(
-                        "[serve] warning: journal {}: quarantining corrupt \
+                        "[journal] warning: {}: quarantining corrupt \
                          interior row at line {} (CRC/framing failure)",
                         self.path.display(),
                         i + 1
@@ -158,7 +143,7 @@ impl<'s> Journal<'s> {
             let qpath = self.quarantine_path();
             if let Err(e) = self.store.append_durable(&qpath, body.as_bytes()) {
                 eprintln!(
-                    "[serve] warning: could not record quarantined rows to {}: {e}",
+                    "[journal] warning: could not record quarantined rows to {}: {e}",
                     qpath.display()
                 );
             }
@@ -188,23 +173,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn frame_parse_roundtrip_and_crc_rejects_bitflips() {
-        let payload = "done\t0123456789abcdef\trair-ckpt-v1\tlabel\t42";
-        let line = Journal::frame(payload);
-        assert_eq!(Journal::parse_line(&line), Some(payload));
-        // Any single-character corruption of the payload fails the CRC.
-        let mut bad = line.clone();
-        let flip = bad.pop().unwrap();
-        bad.push(if flip == 'x' { 'y' } else { 'x' });
-        assert_eq!(Journal::parse_line(&bad), None);
-        // Wrong tag, truncated frame, garbage: all rejected.
-        assert_eq!(Journal::parse_line("rair-wal-v0\t00000000\tx"), None);
-        assert_eq!(Journal::parse_line("rair-wal-v1\tzz\tx"), None);
-        assert_eq!(Journal::parse_line("rair-wal-v1\t00000000"), None);
-        assert_eq!(Journal::parse_line(""), None);
     }
 
     #[test]

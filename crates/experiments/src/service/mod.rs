@@ -6,7 +6,8 @@
 //! ([`journal`]), results are deduplicated against a digest-keyed result
 //! cache, and a supervisor retries transient failures with deterministic
 //! backoff while quarantining poison jobs instead of aborting the sweep
-//! ([`serve`]). All filesystem traffic goes through the injectable
+//! ([`serve`]). Every durable file is written in one CRC-framed record
+//! format ([`record`]). All filesystem traffic goes through the injectable
 //! [`store::Store`] trait, so the [`chaos`] battery can deterministically
 //! inject EIO, ENOSPC, torn writes, crash-before-rename — and SIGKILL the
 //! whole process — and prove, digest-for-digest, that every fault class
@@ -15,11 +16,13 @@
 
 pub mod chaos;
 pub mod journal;
+pub mod record;
 pub mod serve;
 pub mod store;
 
 pub use chaos::{run as run_chaos, run_wrong_result, ChaosReport};
-pub use journal::{Journal, Replay, WAL_TAG};
+pub use journal::{Journal, Replay};
+pub use record::WAL_TAG;
 pub use serve::{serve, sim_exec, JobExec, JobSpec, JobStatus, ServeConfig, ServeReport};
 pub use store::{crc32, std_store, ChaosConfig, ChaosStore, Fault, StdStore, Store};
 

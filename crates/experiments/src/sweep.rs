@@ -10,7 +10,8 @@
 //! reusing a label string. The label is kept for diagnostics only.
 //!
 //! The disk layer persists each measured load under `results/cache/` (one
-//! tiny file per key; override the directory with `RAIR_CACHE_DIR`), so a
+//! CRC-framed record per key, read and written through the service
+//! [`Store`]; override the directory with `RAIR_CACHE_DIR`), so a
 //! second `repro` invocation performs **zero** binary searches for loads it
 //! has already measured. The in-memory layer is bounded (FIFO eviction) so
 //! an unbounded sweep cannot grow the process without limit. Lookups are
@@ -18,6 +19,7 @@
 //! concurrently on the sweep worker pool, bit-identically to serial ones.
 
 use crate::runner::ExpConfig;
+use crate::service::record::{self, SAT_TAG};
 use crate::service::{std_store, Store};
 use noc_sim::config::SimConfig;
 use noc_sim::network::Network;
@@ -235,72 +237,36 @@ fn cache_path(key: u64) -> PathBuf {
     cache_dir().join(format!("sat_{key:016x}.txt"))
 }
 
-/// Parse a cache entry's text. Two on-disk generations:
-///
-/// - **v2** (written since the chaos PR): `v2 <bits:016x> <crc:08x>` where
-///   the CRC covers the bit-pattern hex token, so silent bit rot in the
-///   value is detected instead of returned as a wrong saturation load.
-/// - **legacy**: a bare 16-digit bit pattern on the first line (kept
-///   readable so committed caches survive the format bump).
-fn parse_cache_entry(text: &str) -> Option<f64> {
-    let first = text.lines().next()?.trim();
-    let bits = if let Some(rest) = first.strip_prefix("v2 ") {
-        let mut it = rest.split_whitespace();
-        let hex = it.next()?;
-        let crc = u32::from_str_radix(it.next()?, 16).ok()?;
-        if crate::service::crc32(hex.as_bytes()) != crc {
-            return None;
-        }
-        u64::from_str_radix(hex, 16).ok()?
-    } else {
-        u64::from_str_radix(first, 16).ok()?
-    };
-    let v = f64::from_bits(bits);
+/// One cache entry's record payload: the load's bit pattern, then the
+/// caller's label for humans (never part of the key).
+fn parse_entry(payload: &str) -> Option<f64> {
+    let hex = payload.split('\t').next()?;
+    let v = record::parse_f64_field(hex)?;
     v.is_finite().then_some(v)
 }
 
-/// Read a cached value from disk. An entry that fails to parse or fails
-/// its CRC is a **miss**: it is counted, renamed to `*.corrupt` for
-/// post-mortems, and the caller re-searches — a damaged cache can cost
-/// simulations, never correctness.
-fn disk_read(key: u64) -> Option<f64> {
+/// Read a cached value through `store`. An entry that fails its frame or
+/// CRC is a counted **miss**, set aside by [`record::load`] — a damaged
+/// cache can cost simulations, never correctness.
+pub(crate) fn disk_read(store: &dyn Store, key: u64) -> Option<f64> {
     let path = cache_path(key);
-    let text = std::fs::read_to_string(&path).ok()?;
-    match parse_cache_entry(&text) {
-        Some(v) => Some(v),
-        None => {
-            CACHE_CORRUPT.fetch_add(1, Ordering::Relaxed);
-            let aside = path.with_extension("txt.corrupt");
-            eprintln!(
-                "[sweep] warning: corrupt saturation cache entry {} (CRC/parse \
-                 failure); setting it aside and re-searching",
-                path.display()
-            );
-            if let Err(e) = std::fs::rename(&path, &aside) {
-                eprintln!("[sweep] warning: could not set aside corrupt cache entry: {e}");
-            }
-            None
-        }
-    }
+    record::load(store, &path, SAT_TAG, parse_entry, &CACHE_CORRUPT)
 }
 
-/// Persist a value in the v2 (CRC-guarded) format: value line first, a
-/// human-readable comment line second. Written through
+/// Persist a value as one framed record. Written through
 /// [`Store::write_atomic`], whose temp file is unique per write, so
 /// concurrent searches of one key (in this process or another) and
 /// interrupted runs can never leave a torn entry or fail each other's
 /// commit.
-fn disk_write(key: u64, value: f64, label: &str) -> std::io::Result<()> {
-    let store = std_store();
-    let hex = format!("{:016x}", value.to_bits());
-    let body = format!(
-        "v2 {hex} {:08x}\n# {} = {:.6} flits/cycle/node\n",
-        crate::service::crc32(hex.as_bytes()),
-        label,
-        value
-    );
+pub(crate) fn disk_write(
+    store: &dyn Store,
+    key: u64,
+    value: f64,
+    label: &str,
+) -> std::io::Result<()> {
+    let payload = format!("{}\t{}", record::f64_field(value), record::esc_label(label));
     store.create_dir_all(&cache_dir())?;
-    store.write_atomic(&cache_path(key), body.as_bytes())
+    record::save(store, &cache_path(key), SAT_TAG, &payload)
 }
 
 /// Is model warm-starting of saturation searches disabled? The
@@ -313,8 +279,8 @@ fn cold_searches_forced() -> bool {
 
 /// One saturation lookup: application `app` running alone with traffic
 /// mix `spec` on `region` (round-robin arbitration, local adaptive
-/// routing). `label` is used only in diagnostics and the on-disk comment
-/// line; the cache key is derived from the other fields.
+/// routing). `label` is used only in diagnostics and the cache entry's
+/// label field; the cache key is derived from the other fields.
 #[derive(Debug, Clone)]
 pub struct SatQuery<'a> {
     pub label: String,
@@ -371,6 +337,15 @@ pub fn try_cached_saturations(
     ec: &ExpConfig,
     queries: &[SatQuery],
 ) -> Vec<Result<(f64, SatLookup), SaturationError>> {
+    lookup(std_store(), ec, queries)
+}
+
+/// [`try_cached_saturations`] with the disk layer on `store`.
+pub(crate) fn lookup(
+    store: &dyn Store,
+    ec: &ExpConfig,
+    queries: &[SatQuery],
+) -> Vec<Result<(f64, SatLookup), SaturationError>> {
     let probe = if ec.quick {
         SaturationProbe::quick()
     } else {
@@ -393,7 +368,7 @@ pub fn try_cached_saturations(
             Resolved::Dup(first)
         } else if let Some(v) = hit {
             Resolved::Mem(v)
-        } else if let Some(v) = disk_read(key) {
+        } else if let Some(v) = disk_read(store, key) {
             Resolved::Disk(v)
         } else {
             Resolved::Miss
@@ -446,7 +421,7 @@ pub fn try_cached_saturations(
                             sat_cache().lock().expect(MEM_POISONED).insert(key, sat);
                             // The cache is an optimization, not a
                             // dependency: a failed write costs a re-search.
-                            if let Err(e) = disk_write(key, sat, &q.label) {
+                            if let Err(e) = disk_write(store, key, sat, &q.label) {
                                 eprintln!(
                                     "[sweep] warning: could not persist saturation cache \
                                      entry sat_{key:016x}: {e}"
@@ -482,27 +457,6 @@ pub fn try_cached_saturations(
     out
 }
 
-/// [`try_cached_saturations`] for one query (the same lookup path).
-pub fn try_cached_saturation_traced(
-    label: &str,
-    ec: &ExpConfig,
-    cfg: &SimConfig,
-    region: &RegionMap,
-    app: u8,
-    spec: &AppSpec,
-) -> Result<(f64, SatLookup), SaturationError> {
-    let query = SatQuery {
-        label: label.to_string(),
-        cfg,
-        region,
-        app,
-        spec,
-    };
-    try_cached_saturations(ec, &[query])
-        .pop()
-        .expect("one result per query")
-}
-
 /// Reject a degenerate measured load (zero, negative, NaN, ∞) with the
 /// structured error; a search can collapse to zero when even the smallest
 /// probed rate is unstable (e.g. a mis-specified region with no eject
@@ -532,21 +486,8 @@ pub fn cached_saturations(ec: &ExpConfig, queries: &[SatQuery]) -> Vec<(f64, Sat
         .collect()
 }
 
-/// [`cached_saturations`] for one query.
-pub fn cached_saturation_traced(
-    label: &str,
-    ec: &ExpConfig,
-    cfg: &SimConfig,
-    region: &RegionMap,
-    app: u8,
-    spec: &AppSpec,
-) -> (f64, SatLookup) {
-    try_cached_saturation_traced(label, ec, cfg, region, app, spec)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`cached_saturation_traced`] without the provenance (the common case for
-/// figure drivers).
+/// [`cached_saturations`] for one query, without the provenance (the
+/// common case for figure drivers).
 pub fn cached_saturation(
     label: &str,
     ec: &ExpConfig,
@@ -555,7 +496,14 @@ pub fn cached_saturation(
     app: u8,
     spec: &AppSpec,
 ) -> f64 {
-    cached_saturation_traced(label, ec, cfg, region, app, spec).0
+    let query = SatQuery {
+        label: label.to_string(),
+        cfg,
+        region,
+        app,
+        spec,
+    };
+    cached_saturations(ec, &[query])[0].0
 }
 
 /// Clear the in-memory saturation cache (tests). Disk entries persist; use
@@ -580,6 +528,36 @@ mod tests {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// One query through the batch lookup, with its provenance.
+    fn try_traced(
+        label: &str,
+        ec: &ExpConfig,
+        cfg: &SimConfig,
+        region: &RegionMap,
+        app: u8,
+        spec: &AppSpec,
+    ) -> Result<(f64, SatLookup), SaturationError> {
+        let query = SatQuery {
+            label: label.to_string(),
+            cfg,
+            region,
+            app,
+            spec,
+        };
+        try_cached_saturations(ec, &[query]).pop().unwrap()
+    }
+
+    fn traced(
+        label: &str,
+        ec: &ExpConfig,
+        cfg: &SimConfig,
+        region: &RegionMap,
+        app: u8,
+        spec: &AppSpec,
+    ) -> (f64, SatLookup) {
+        try_traced(label, ec, cfg, region, app, spec).unwrap()
     }
 
     /// Point the disk cache at a unique temp directory for one test.
@@ -740,7 +718,7 @@ mod tests {
         // Cold start: one real binary search (model-warmed or cold — warm
         // acceptance is bit-identical, so either outcome yields the same
         // load), persisted to disk.
-        let (a, la) = cached_saturation_traced("test/halves0", &ec, &cfg, &region, 0, &spec);
+        let (a, la) = traced("test/halves0", &ec, &cfg, &region, 0, &spec);
         assert!(
             matches!(la, SatLookup::Warmed | SatLookup::Searched),
             "{la:?}"
@@ -748,17 +726,17 @@ mod tests {
         assert!(a > 0.05 && a < 1.0, "saturation {a}");
         // Same parameters under a different label: in-memory hit, identical
         // value.
-        let (b, lb) = cached_saturation_traced("other/label", &ec, &cfg, &region, 0, &spec);
+        let (b, lb) = traced("other/label", &ec, &cfg, &region, 0, &spec);
         assert_eq!(lb, SatLookup::MemHit);
         assert_eq!(a, b);
         // Fresh process simulated by clearing the memory layer: the disk
         // entry answers — a second `repro` run performs zero searches.
         clear_saturation_cache();
-        let (c, lc) = cached_saturation_traced("rerun", &ec, &cfg, &region, 0, &spec);
+        let (c, lc) = traced("rerun", &ec, &cfg, &region, 0, &spec);
         assert_eq!(lc, SatLookup::DiskHit);
         assert_eq!(a.to_bits(), c.to_bits(), "disk roundtrip not bit-exact");
         // And it was promoted back into memory.
-        let (_, ld) = cached_saturation_traced("rerun2", &ec, &cfg, &region, 0, &spec);
+        let (_, ld) = traced("rerun2", &ec, &cfg, &region, 0, &spec);
         assert_eq!(ld, SatLookup::MemHit);
     }
 
@@ -766,8 +744,9 @@ mod tests {
     fn disk_entries_are_atomic_and_readable() {
         let _guard = env_lock();
         let _tmp = TempCacheDir::new("atomic");
-        disk_write(0xDEAD_BEEF, 0.314159, "demo/label").unwrap();
-        let v = disk_read(0xDEAD_BEEF).unwrap();
+        let store = std_store();
+        disk_write(store, 0xDEAD_BEEF, 0.314159, "demo/label").unwrap();
+        let v = disk_read(store, 0xDEAD_BEEF).unwrap();
         assert_eq!(v.to_bits(), 0.314159f64.to_bits());
         // No stray temp files remain after a completed write.
         let leftovers: Vec<_> = std::fs::read_dir(cache_dir())
@@ -776,17 +755,16 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "torn temp files: {leftovers:?}");
-        // Corrupt entries are treated as misses, not errors.
-        std::fs::write(cache_path(0xBAD), "not-hex\n").unwrap();
-        assert_eq!(disk_read(0xBAD), None);
-        // Legacy (pre-CRC) entries — a bare bit-pattern line — stay
-        // readable, so committed caches survive the format bump.
-        std::fs::write(
-            cache_path(0x1E6),
-            format!("{:016x}\n# legacy comment\n", 0.25f64.to_bits()),
-        )
-        .unwrap();
-        assert_eq!(disk_read(0x1E6), Some(0.25));
+        // Garbage and unframed entries of earlier formats (a bare bit
+        // pattern) are counted misses, not errors.
+        let before = saturation_cache_corrupt_count();
+        let legacy = format!("{:016x}\n# legacy comment\n", 0.25f64.to_bits());
+        for (key, text) in [(0xBAD, "not-hex\n"), (0x1E6, legacy.as_str())] {
+            std::fs::write(cache_path(key), text).unwrap();
+            assert_eq!(disk_read(store, key), None);
+            assert!(cache_path(key).with_extension("txt.corrupt").exists());
+        }
+        assert!(saturation_cache_corrupt_count() >= before + 2);
     }
 
     /// Satellite requirement: corrupting a *live* cache entry must cost a
@@ -801,17 +779,21 @@ mod tests {
         let region = RegionMap::halves(&cfg);
         let ec = ExpConfig::quick();
         let spec = AppSpec::intra_only(0.0);
-        let (v1, _) = cached_saturation_traced("corrupt/live", &ec, &cfg, &region, 0, &spec);
+        let (v1, _) = traced("corrupt/live", &ec, &cfg, &region, 0, &spec);
         // Flip one byte inside the stored bit pattern of the live entry.
         let key = sat_digest(&SaturationProbe::quick(), &cfg, &region, 0, &spec);
         let path = cache_path(key);
         let mut bytes = std::fs::read(&path).unwrap();
-        assert!(bytes.starts_with(b"v2 "), "new entries use the CRC format");
-        bytes[4] ^= 0x01;
+        assert!(
+            bytes.starts_with(SAT_TAG.as_bytes()),
+            "entries are framed records"
+        );
+        // The value field follows the tag and the 8-hex CRC.
+        bytes[SAT_TAG.len() + 10 + 3] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
         clear_saturation_cache();
         let before = saturation_cache_corrupt_count();
-        let (v2, how) = cached_saturation_traced("corrupt/again", &ec, &cfg, &region, 0, &spec);
+        let (v2, how) = traced("corrupt/again", &ec, &cfg, &region, 0, &spec);
         assert!(
             matches!(how, SatLookup::Warmed | SatLookup::Searched),
             "corrupt entry must be a miss, got {how:?}"
@@ -829,7 +811,7 @@ mod tests {
     }
 
     /// Concurrent searches of one key each persist it: every write
-    /// commits, the key holds exactly one valid v2 entry whichever write
+    /// commits, the key holds exactly one valid entry whichever write
     /// lands last, and no writer's temp file survives.
     #[test]
     fn concurrent_disk_writes_of_one_key_leave_one_valid_entry() {
@@ -843,7 +825,8 @@ mod tests {
                     start.wait();
                     // Labels of different lengths, so interleaved bytes
                     // from two writers could not pass the CRC.
-                    disk_write(0x5EED, 0.4375, &format!("writer/{}", "x".repeat(t)))
+                    let label = format!("writer/{}", "x".repeat(t));
+                    disk_write(std_store(), 0x5EED, 0.4375, &label)
                         .expect("every concurrent write commits");
                 });
             }
@@ -853,9 +836,7 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(names, [format!("sat_{:016x}.txt", 0x5EED)], "{names:?}");
-        let text = std::fs::read_to_string(cache_path(0x5EED)).unwrap();
-        assert!(text.starts_with("v2 "), "{text}");
-        assert_eq!(parse_cache_entry(&text), Some(0.4375));
+        assert_eq!(disk_read(std_store(), 0x5EED), Some(0.4375));
     }
 
     /// Figure 14's traffic mix: 75 % intra-region UR, 20 % global, 5 % MC.
@@ -928,9 +909,7 @@ mod tests {
             } else {
                 queries
                     .iter()
-                    .map(|q| {
-                        cached_saturation_traced(&q.label, &ec, q.cfg, q.region, q.app, q.spec)
-                    })
+                    .map(|q| traced(&q.label, &ec, q.cfg, q.region, q.app, q.spec))
                     .collect()
             }
             .into_iter()
@@ -1002,8 +981,7 @@ mod tests {
         );
         let &(ok, _) = out[1].as_ref().unwrap();
         clear_saturation_cache();
-        let (again, how) =
-            try_cached_saturation_traced("iso/ok", &ec, &cfg, &halves, 0, &intra).unwrap();
+        let (again, how) = try_traced("iso/ok", &ec, &cfg, &halves, 0, &intra).unwrap();
         assert_eq!((again.to_bits(), how), (ok.to_bits(), SatLookup::DiskHit));
 
         // Application 7 has no nodes: its search panics.
@@ -1019,8 +997,7 @@ mod tests {
         .unwrap_err();
         let msg = crate::runner::panic_message(raised.as_ref());
         assert!(msg.contains("iso/ghost") && msg.contains("app 7"), "{msg}");
-        let (_, how) =
-            try_cached_saturation_traced("iso/sibling", &ec, &cfg, &quadrants, 0, &intra).unwrap();
+        let (_, how) = try_traced("iso/sibling", &ec, &cfg, &quadrants, 0, &intra).unwrap();
         assert_eq!(
             how,
             SatLookup::MemHit,
