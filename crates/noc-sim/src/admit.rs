@@ -79,7 +79,7 @@
 //! so [`PropertyReport::micros`] is left 0 here and stamped by the
 //! experiments driver, which is exempt.
 
-use crate::arbitration::ArbStage;
+use crate::arbitration::{arbitrate_rr_at, ArbStage};
 use crate::config::SimConfig;
 use crate::ids::{AppId, Coord, NodeId, Port, APP_NONE, NUM_PORTS};
 use crate::region::RegionMap;
@@ -443,17 +443,36 @@ fn occ_cap(cfg: &SimConfig) -> u32 {
     slots.min(MAX_OCC)
 }
 
+/// Rounds (the winning one included) a persistent request waits on a
+/// rotating arbiter of `slots` slots when every slot requests at tied
+/// priority and the pointer starts just past it — the far end of the
+/// rotation. Replayed on the kernel's own arbiter ([`arbitrate_rr_at`]),
+/// so the bound follows the kernel's fairness rule; a fair arbiter gives
+/// exactly `slots`.
+fn rr_tie_rounds(slots: usize) -> u64 {
+    let mut ptr = 1 % slots.max(1);
+    let mut rounds = 0u64;
+    while let Some((w, next)) = arbitrate_rr_at((0..slots).map(|key| (0, key)), slots, ptr) {
+        rounds += 1;
+        ptr = next;
+        if w == 0 || rounds > slots as u64 {
+            break;
+        }
+    }
+    rounds
+}
+
 /// The statically derived bound on consecutive arbitration losses of a
 /// native head flit, for an admitted config: every competitor ahead of it
-/// (one per arbiter slot, rotating fairness) plus a full drain of both
-/// occupancy classes, each holding the switch for up to one packet's
-/// serialization plus credit turnaround (the ×4 slack term), plus the
-/// aging plateau for batched ranks.
+/// (one per arbiter slot, rotating fairness — [`rr_tie_rounds`]) plus a
+/// full drain of both occupancy classes, each holding the switch for up to
+/// one packet's serialization plus credit turnaround (the ×4 slack term),
+/// plus the aging plateau for batched ranks.
 fn wait_bound(cfg: &SimConfig, aging: Aging) -> u64 {
-    let slots = (NUM_PORTS * cfg.vcs_per_port()) as u64;
+    let rounds = rr_tie_rounds(NUM_PORTS * cfg.vcs_per_port());
     let cap = u64::from(occ_cap(cfg));
     let pkt = u64::from(cfg.long_flits.max(cfg.short_flits));
-    let base = (slots + 2 * cap) * pkt * 4;
+    let base = (rounds + 2 * cap) * pkt * 4;
     match aging {
         Aging::Batched { window } => base + 2 * window,
         Aging::None | Aging::OldestFirst => base,
@@ -884,6 +903,17 @@ mod tests {
             aging: Aging::None,
             initial_native_high: false,
         }
+    }
+
+    #[test]
+    fn tie_wait_is_one_round_per_arbiter_slot() {
+        // The kernel's rotating arbiter is fair: against every other slot
+        // at tied priority, a request whose pointer starts just past it
+        // waits exactly one round per slot.
+        for slots in [1, 2, 5, 30, 60] {
+            assert_eq!(rr_tie_rounds(slots), slots as u64);
+        }
+        assert_eq!(rr_tie_rounds(0), 0);
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub struct ArbReq {
 
 /// A priority policy: maps requests to numeric priorities (higher wins).
 ///
-/// Implementations must be cheap — these run on every arbitration of every
-/// router every cycle.
+/// Implementations must be cheap — these run on every contested
+/// arbitration of every router every cycle.
 pub trait PriorityPolicy: Send + Sync {
     /// Short name for reports.
     fn name(&self) -> &'static str;
@@ -64,6 +64,12 @@ pub trait PriorityPolicy: Send + Sync {
     /// Priority of `req` at `stage`. For `VaOut` the class of the contested
     /// output VC is supplied (this is where VC regionalization acts);
     /// `None` for the SA stages.
+    ///
+    /// Must be a pure function of its arguments and of policy state that
+    /// only [`update_router`](Self::update_router) changes: the kernel
+    /// consults it only for *contested* arbitrations (a lone request wins
+    /// whatever its priority), so how often it runs is not part of the
+    /// contract.
     fn priority(
         &self,
         stage: ArbStage,
@@ -106,64 +112,117 @@ pub trait PriorityPolicy: Send + Sync {
     }
 }
 
-/// Round-robin arbitration among requests with priorities.
+/// The rotating-priority arbiter — the one arbitration function of the
+/// simulator. VA_out, SA_in and SA_out in the kernel and the static
+/// admission pipeline ([`crate::admit`]) all decide through it, so the
+/// kernel and the analyzer can never diverge.
 ///
-/// `reqs` holds `(priority, slot_key)` pairs where `slot_key < num_slots`
-/// identifies the physical requestor (input VC index, input port index, …).
-/// Among the maximum-priority requests, the one whose key comes first at or
-/// after `*ptr` (cyclically) wins, and the pointer advances past it — a
-/// standard rotating-priority arbiter.
+/// `reqs` yields `(priority, slot_key)` pairs where `slot_key < num_slots`
+/// identifies the physical requestor (input VC index, input port index, …)
+/// and `ptr < num_slots` is the arbiter's rotating pointer. Among the
+/// maximum-priority requests, the one whose key comes first at or after
+/// `ptr` (cyclically) wins; on a duplicate key the earliest request wins.
 ///
-/// Returns the index *into `reqs`* of the winner.
-pub fn arbitrate_rr(reqs: &[(u64, usize)], num_slots: usize, ptr: &mut usize) -> Option<usize> {
-    let (widx, next_ptr) = arbitrate_rr_at(reqs, num_slots, *ptr)?;
-    *ptr = next_ptr;
-    Some(widx)
-}
-
-/// Pure transition function of the rotating-priority arbiter: the same
-/// decision as [`arbitrate_rr`] without mutating the pointer. Returns
-/// `(winner index into reqs, next pointer)`. The static admission
-/// pipeline ([`crate::admit`]) reasons about arbitration through this
-/// function; the kernel wrapper above delegates here so the two can
-/// never diverge.
-pub fn arbitrate_rr_at(
-    reqs: &[(u64, usize)],
-    num_slots: usize,
-    ptr: usize,
-) -> Option<(usize, usize)> {
-    let max_prio = reqs.iter().map(|r| r.0).max()?;
-    let mut best: Option<(usize, usize)> = None; // (rotated distance, req index)
-    for (i, &(p, key)) in reqs.iter().enumerate() {
-        if p != max_prio {
-            continue;
-        }
+/// Returns `(winner index into reqs, next pointer)` — the pointer advances
+/// just past the winner's key — or `None` for an empty request set.
+///
+/// One pass, no division: the rotated distance is `key - ptr` or
+/// `key + num_slots - ptr`, and the next pointer wraps by comparison.
+#[inline]
+pub fn arbitrate_rr_at<I>(reqs: I, num_slots: usize, ptr: usize) -> Option<(usize, usize)>
+where
+    I: IntoIterator<Item = (u64, usize)>,
+{
+    // (priority, rotated distance, request index, slot key) of the leader.
+    let mut best: Option<(u64, usize, usize, usize)> = None;
+    for (i, (p, key)) in reqs.into_iter().enumerate() {
         debug_assert!(key < num_slots, "slot key {key} out of range {num_slots}");
-        let dist = (key + num_slots - ptr) % num_slots;
-        if best.is_none_or(|(d, _)| dist < d) {
-            best = Some((dist, i));
+        debug_assert!(ptr < num_slots, "pointer {ptr} out of range {num_slots}");
+        let dist = if key >= ptr {
+            key - ptr
+        } else {
+            key + num_slots - ptr
+        };
+        if best.is_none_or(|(bp, bd, _, _)| p > bp || (p == bp && dist < bd)) {
+            best = Some((p, dist, i, key));
         }
     }
-    let (_, widx) = best?;
-    Some((widx, (reqs[widx].1 + 1) % num_slots))
+    let (_, _, widx, key) = best?;
+    let next = if key + 1 == num_slots { 0 } else { key + 1 };
+    Some((widx, next))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Stateful wrapper for the scenario tests: arbitrate and advance.
+    fn arbitrate(reqs: &[(u64, usize)], num_slots: usize, ptr: &mut usize) -> Option<usize> {
+        let (widx, next) = arbitrate_rr_at(reqs.iter().copied(), num_slots, *ptr)?;
+        *ptr = next;
+        Some(widx)
+    }
+
+    /// The former two-pass, modulo-based arbiter, kept as the executable
+    /// reference the one-pass core must agree with.
+    fn arbitrate_rr_reference(
+        reqs: &[(u64, usize)],
+        num_slots: usize,
+        ptr: usize,
+    ) -> Option<(usize, usize)> {
+        let max_prio = reqs.iter().map(|r| r.0).max()?;
+        let mut best: Option<(usize, usize)> = None; // (rotated distance, req index)
+        for (i, &(p, key)) in reqs.iter().enumerate() {
+            if p != max_prio {
+                continue;
+            }
+            let dist = (key + num_slots - ptr) % num_slots;
+            if best.is_none_or(|(d, _)| dist < d) {
+                best = Some((dist, i));
+            }
+        }
+        let (_, widx) = best?;
+        Some((widx, (reqs[widx].1 + 1) % num_slots))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One-pass core ≡ two-pass reference: same winner index and next
+        /// pointer for every pointer position, over request sets with tied
+        /// priorities (3 levels), duplicate keys (keys drawn with
+        /// replacement) and the empty set (length 0 is in range).
+        #[test]
+        fn one_pass_core_matches_two_pass_reference(
+            n in 1usize..=64,
+            raw in proptest::collection::vec((0u64..3, 0usize..64), 0..24),
+        ) {
+            let reqs: Vec<(u64, usize)> = raw.iter().map(|&(p, k)| (p, k % n)).collect();
+            for ptr in 0..n {
+                prop_assert_eq!(
+                    arbitrate_rr_at(reqs.iter().copied(), n, ptr),
+                    arbitrate_rr_reference(&reqs, n, ptr),
+                    "n={} ptr={} reqs={:?}", n, ptr, reqs
+                );
+            }
+        }
+    }
 
     #[test]
     fn empty_returns_none() {
         let mut ptr = 0;
-        assert_eq!(arbitrate_rr(&[], 4, &mut ptr), None);
+        assert_eq!(arbitrate(&[], 4, &mut ptr), None);
         assert_eq!(ptr, 0);
+        assert_eq!(arbitrate_rr_at(std::iter::empty(), 4, 2), None);
+        assert_eq!(arbitrate_rr_reference(&[], 4, 2), None);
     }
 
     #[test]
     fn highest_priority_wins() {
         let mut ptr = 0;
         let reqs = [(1, 0), (5, 1), (3, 2)];
-        let w = arbitrate_rr(&reqs, 4, &mut ptr).unwrap();
+        let w = arbitrate(&reqs, 4, &mut ptr).unwrap();
         assert_eq!(reqs[w].1, 1);
         assert_eq!(ptr, 2);
     }
@@ -176,7 +235,7 @@ mod tests {
         let reqs = [(7u64, 0usize), (7, 1), (7, 2)];
         let mut wins = vec![];
         for _ in 0..3 {
-            let w = arbitrate_rr(&reqs, 3, &mut ptr).unwrap();
+            let w = arbitrate(&reqs, 3, &mut ptr).unwrap();
             wins.push(reqs[w].1);
         }
         wins.sort_unstable();
@@ -188,11 +247,18 @@ mod tests {
         let mut ptr = 3;
         let reqs = [(1u64, 0usize), (1, 3)];
         // ptr=3 → slot 3 is at distance 0, wins first.
-        let w = arbitrate_rr(&reqs, 4, &mut ptr).unwrap();
+        let w = arbitrate(&reqs, 4, &mut ptr).unwrap();
         assert_eq!(reqs[w].1, 3);
         assert_eq!(ptr, 0);
-        let w = arbitrate_rr(&reqs, 4, &mut ptr).unwrap();
+        let w = arbitrate(&reqs, 4, &mut ptr).unwrap();
         assert_eq!(reqs[w].1, 0);
+    }
+
+    #[test]
+    fn duplicate_keys_pick_the_earliest_request() {
+        let reqs = [(2u64, 1usize), (2, 1), (1, 0)];
+        assert_eq!(arbitrate_rr_at(reqs.iter().copied(), 2, 0), Some((0, 0)));
+        assert_eq!(arbitrate_rr_reference(&reqs, 2, 0), Some((0, 0)));
     }
 
     #[test]
@@ -202,12 +268,12 @@ mod tests {
         let mut ptr = 0;
         for _ in 0..10 {
             let reqs = [(2u64, 0usize), (1, 1)];
-            let w = arbitrate_rr(&reqs, 2, &mut ptr).unwrap();
+            let w = arbitrate(&reqs, 2, &mut ptr).unwrap();
             assert_eq!(reqs[w].1, 0);
         }
         // ...but wins as soon as the high-priority requestor leaves.
         let reqs = [(1u64, 1usize)];
-        let w = arbitrate_rr(&reqs, 2, &mut ptr).unwrap();
+        let w = arbitrate(&reqs, 2, &mut ptr).unwrap();
         assert_eq!(reqs[w].1, 1);
     }
 }

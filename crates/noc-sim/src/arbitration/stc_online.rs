@@ -134,7 +134,7 @@ mod tests {
     fn router_with_local_holder(app: AppId) -> Router {
         let cfg = SimConfig::table1();
         let mut r = Router::new(&cfg, 0, cfg.coord_of(0), 0);
-        r.inputs[PORT_LOCAL][1].holder = Some(app);
+        r.occupy_vc(PORT_LOCAL, 1, app);
         r.inputs[PORT_LOCAL][1].buf.push_back(Flit {
             kind: FlitKind::Single,
             seq: 0,

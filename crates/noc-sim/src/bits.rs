@@ -22,9 +22,30 @@ pub fn low_bits(n: usize) -> u64 {
     }
 }
 
+/// Indices of the set bits of `mask`, ascending.
+#[inline]
+pub fn iter_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 #[cfg(test)]
 mod tests {
-    use super::low_bits;
+    use super::{iter_bits, low_bits};
+
+    #[test]
+    fn iter_bits_ascends_over_set_bits() {
+        assert_eq!(iter_bits(0).count(), 0);
+        let v: Vec<usize> = iter_bits(0b1010_0110).collect();
+        assert_eq!(v, [1, 2, 5, 7]);
+        assert_eq!(iter_bits(1 << 63).collect::<Vec<_>>(), [63]);
+        assert_eq!(iter_bits(u64::MAX).count(), 64);
+    }
 
     #[test]
     fn low_bits_edge_cases() {

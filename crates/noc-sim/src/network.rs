@@ -59,8 +59,8 @@
 //! [`TrafficSource::next_injection_cycle`]: crate::source::TrafficSource::next_injection_cycle
 
 use crate::analysis::{AnalysisState, JourneyEvent};
-use crate::arbitration::{arbitrate_rr, ArbReq, ArbStage, PriorityPolicy};
-use crate::bits::low_bits;
+use crate::arbitration::{arbitrate_rr_at, ArbReq, ArbStage, PriorityPolicy};
+use crate::bits::{iter_bits, low_bits};
 use crate::config::SimConfig;
 use crate::fault::{
     DegradedMode, DegradedTable, Fault, FaultEvent, FaultState, MAX_SOURCE_RETRIES,
@@ -94,17 +94,21 @@ pub(crate) struct InFlight {
     pub(crate) flit: Flit,
 }
 
-/// A VA_out request gathered during the shared (read-only) pass.
+/// A VA_out request gathered during the shared (read-only) pass. The
+/// priority is computed only if the output VC is contested (see
+/// [`PriorityPolicy::priority`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct VaReq {
     out_port: Port,
     out_vc: usize,
     in_port: Port,
     in_vc: usize,
-    prio: u64,
+    req: ArbReq,
 }
 
-/// An SA candidate gathered during the shared pass.
+/// An SA candidate gathered during the shared pass. Its SA_in priority is
+/// computed only if its input port is contested; an uncontested request
+/// carries priority 0.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SaCand {
     in_port: Port,
@@ -112,7 +116,7 @@ pub(crate) struct SaCand {
     out_port: Port,
     out_vc: usize,
     prio_in: u64,
-    prio_out: u64,
+    req: ArbReq,
 }
 
 /// A buffered oracle event emitted by a band-scoped pipeline phase.
@@ -674,8 +678,7 @@ impl Network {
             let flits = ivc.buf.len();
             ivc.buf.clear();
             ivc.state = VcState::Idle;
-            ivc.holder = None;
-            r.note_vc_freed(port, vc);
+            r.free_vc(port, vc);
             Self::mark_active(&mut self.dirty_mask, r_idx);
             if r.occ_vcs == 0 {
                 Self::mark_inactive(&mut self.active_mask, r_idx);
@@ -906,8 +909,7 @@ impl Network {
                 let r = &mut self.routers[router];
                 let mut flit = r.inputs[port][vc].buf.pop_front().unwrap();
                 r.inputs[port][vc].state = VcState::Idle;
-                r.inputs[port][vc].holder = None;
-                r.note_vc_freed(port, vc);
+                r.free_vc(port, vc);
                 Self::mark_active(&mut self.dirty_mask, router);
                 if r.occ_vcs == 0 {
                     Self::mark_inactive(&mut self.active_mask, router);
@@ -1063,8 +1065,9 @@ impl Network {
 
     /// Self-check of the incremental active-set bookkeeping against an
     /// exhaustive recount: the bitmask, the per-port/total occupancy
-    /// counters and the holder tags must all match what a slow scan finds,
-    /// so skipping a router can never change a candidate set.
+    /// counters, the VC bitsets, the DPA registers and the holder tags must
+    /// all match what a slow scan finds, so skipping a router can never
+    /// change a candidate set and the popcount registers can never drift.
     #[cfg(debug_assertions)]
     fn debug_verify_active_set(&self) {
         for (i, r) in self.routers.iter().enumerate() {
@@ -1077,11 +1080,28 @@ impl Network {
                 bit,
                 "router {i}: active bit disagrees with occupancy {total}"
             );
-            let (occ, free, full, avail) = r.recount_bitsets();
-            assert_eq!(occ, r.occ_bits, "router {i}: occ_bits drifted");
-            assert_eq!(free, r.out_free, "router {i}: out_free drifted");
-            assert_eq!(full, r.credits_full, "router {i}: credits_full drifted");
-            assert_eq!(avail, r.credits_avail, "router {i}: credits_avail drifted");
+            let b = r.recount_bitsets();
+            assert_eq!(b.occ, r.occ_bits, "router {i}: occ_bits drifted");
+            assert_eq!(b.native, r.native_bits, "router {i}: native_bits drifted");
+            assert_eq!(b.out_free, r.out_free, "router {i}: out_free drifted");
+            assert_eq!(
+                b.credits_full, r.credits_full,
+                "router {i}: credits_full drifted"
+            );
+            assert_eq!(
+                b.credits_avail, r.credits_avail,
+                "router {i}: credits_avail drifted"
+            );
+            // A clean router's DPA registers were computed (by popcount)
+            // from the occupancy it still has: they must equal the
+            // holder-tag scan.
+            if !r.occ_dirty {
+                assert_eq!(
+                    r.recount_occupancy(),
+                    (r.ovc_native, r.ovc_foreign),
+                    "router {i}: DPA registers drifted from the holder-tag recount"
+                );
+            }
             let dirty_bit = self.dirty_mask[i >> 6] >> (i & 63) & 1 == 1;
             assert_eq!(
                 dirty_bit, r.occ_dirty,
@@ -1111,12 +1131,9 @@ impl Network {
         debug_assert_eq!(a.flit.kind.is_head(), !ivc.occupied());
         debug_assert!(ivc.buf.len() < cfg.vc_depth, "input buffer overflow");
         let newly_occupied = !ivc.occupied();
-        if a.flit.kind.is_head() {
-            ivc.holder = Some(a.flit.info.app);
-        }
         ivc.buf.push_back(a.flit);
         if newly_occupied {
-            router.note_vc_occupied(a.in_port, a.vc);
+            router.occupy_vc(a.in_port, a.vc, a.flit.info.app);
         }
         newly_occupied
     }
@@ -1273,18 +1290,20 @@ impl Network {
             // an occupied VC, so iterating occ_bits (ascending, same order
             // as the nested scan) is exact; exhaustive mode widens the
             // iteration domain to every valid slot without changing any
-            // predicate.
+            // predicate. Candidates land grouped by input port;
+            // `port_end[p]` closes port p's group. A lone candidate wins
+            // SA_in whatever its priority, so the policy is consulted only
+            // for contested ports.
             sa_scratch.clear();
             let occ_snapshot = if force_exhaustive {
                 r.valid_vc_mask()
             } else {
                 r.occ_bits
             };
-            for in_port in 0..NUM_PORTS {
-                let mut pb = (occ_snapshot >> (in_port * v)) & port_mask;
-                while pb != 0 {
-                    let in_vc = pb.trailing_zeros() as usize;
-                    pb &= pb - 1;
+            let mut port_end = [0usize; NUM_PORTS];
+            let mut start = 0;
+            for (in_port, end) in port_end.iter_mut().enumerate() {
+                for in_vc in iter_bits((occ_snapshot >> (in_port * v)) & port_mask) {
                     let ivc = &r.inputs[in_port][in_vc];
                     let VcState::Active { out_port, out_vc } = ivc.state else {
                         continue;
@@ -1293,64 +1312,70 @@ impl Network {
                     if !r.has_credit(out_port, out_vc) {
                         continue;
                     }
-                    let req = arb_req(r, &f.info);
                     sa_scratch.push(SaCand {
                         in_port,
                         in_vc,
                         out_port,
                         out_vc,
-                        prio_in: policy.priority(ArbStage::SaIn, r, None, &req),
-                        prio_out: policy.priority(ArbStage::SaOut, r, None, &req),
+                        prio_in: 0,
+                        req: arb_req(r, &f.info),
                     });
                 }
+                let group = &mut sa_scratch[start..];
+                if group.len() > 1 {
+                    for c in group {
+                        c.prio_in = policy.priority(ArbStage::SaIn, r, None, &c.req);
+                    }
+                }
+                start = sa_scratch.len();
+                *end = start;
             }
             if sa_scratch.is_empty() {
                 continue;
             }
-            // SA_in: one winner per input port.
-            let mut sa_in_winners: [Option<SaCand>; NUM_PORTS] = [None; NUM_PORTS];
-            #[allow(clippy::needless_range_loop)] // in_port also keys sa_in_ptr
-            for in_port in 0..NUM_PORTS {
-                let reqs: Vec<(u64, usize)> = sa_scratch
-                    .iter()
-                    .filter(|c| c.in_port == in_port)
-                    .map(|c| (c.prio_in, c.in_vc))
-                    .collect();
-                if reqs.is_empty() {
-                    continue;
+            // SA_in: one winner per input port (`sa_in_win[p]` indexes
+            // sa_scratch). `out_req[o]` is the bitmask of input ports whose
+            // winner requests output port o.
+            let mut sa_in_win = [0usize; NUM_PORTS];
+            let mut out_req = [0u64; NUM_PORTS];
+            let mut start = 0;
+            for (in_port, &end) in port_end.iter().enumerate() {
+                let cands = &sa_scratch[start..end];
+                let reqs = cands.iter().map(|c| (c.prio_in, c.in_vc));
+                if let Some((w, next)) = arbitrate_rr_at(reqs, v, r.sa_in_ptr[in_port]) {
+                    r.sa_in_ptr[in_port] = next;
+                    sa_in_win[in_port] = start + w;
+                    out_req[cands[w].out_port] |= 1 << in_port;
                 }
-                let Some(w) = arbitrate_rr(&reqs, v, &mut r.sa_in_ptr[in_port]) else {
-                    debug_assert!(false, "non-empty request set yields an SA_in winner");
-                    continue;
-                };
-                let win_vc = reqs[w].1;
-                sa_in_winners[in_port] = sa_scratch
-                    .iter()
-                    .find(|c| c.in_port == in_port && c.in_vc == win_vc)
-                    .copied();
+                start = end;
+            }
+            // SA_out priorities, per requesting input port: only contested
+            // outputs consult the policy, and all before any flit moves.
+            let mut prio_out = [0u64; NUM_PORTS];
+            for &m in &out_req {
+                if m.count_ones() > 1 {
+                    for in_port in iter_bits(m) {
+                        let c = &sa_scratch[sa_in_win[in_port]];
+                        prio_out[in_port] = policy.priority(ArbStage::SaOut, r, None, &c.req);
+                    }
+                }
             }
             // SA_out: one winner per output port among the SA_in winners.
             // `moved` collects the input-VC slots that won the crossbar
             // this cycle, feeding the starvation observer's wait counters.
             let mut moved: u64 = 0;
-            for out_port in 0..NUM_PORTS {
-                let reqs: Vec<(u64, usize)> = sa_in_winners
-                    .iter()
-                    .flatten()
-                    .filter(|c| c.out_port == out_port)
-                    .map(|c| (c.prio_out, c.in_port))
-                    .collect();
-                if reqs.is_empty() {
-                    continue;
-                }
-                let Some(w) = arbitrate_rr(&reqs, NUM_PORTS, &mut r.sa_out_ptr[out_port]) else {
-                    debug_assert!(false, "non-empty request set yields an SA_out winner");
+            for (out_port, &m) in out_req.iter().enumerate() {
+                let reqs = iter_bits(m).map(|p| (prio_out[p], p));
+                let Some((w, next)) = arbitrate_rr_at(reqs, NUM_PORTS, r.sa_out_ptr[out_port])
+                else {
                     continue;
                 };
-                let Some(win) = sa_in_winners[reqs[w].1] else {
-                    debug_assert!(false, "SA_out request indexes a populated SA_in winner");
+                r.sa_out_ptr[out_port] = next;
+                let Some(in_port) = iter_bits(m).nth(w) else {
+                    debug_assert!(false, "SA_out winner indexes a requesting input port");
                     continue;
                 };
+                let win = sa_scratch[sa_in_win[in_port]];
                 moved |= 1u64 << (win.in_port * v + win.in_vc);
                 // ST: move the flit.
                 let ivc = &mut r.inputs[win.in_port][win.in_vc];
@@ -1421,8 +1446,7 @@ impl Network {
                         "atomic VC violated: flits behind a tail"
                     );
                     ivc.state = VcState::Idle;
-                    ivc.holder = None;
-                    r.note_vc_freed(win.in_port, win.in_vc);
+                    r.free_vc(win.in_port, win.in_vc);
                     out.dirtied.push(r_idx as u32);
                     out.note(OracleNote::Occupancy {
                         router: r.id,
@@ -1546,10 +1570,7 @@ impl Network {
                 r.occ_bits
             };
             for in_port in 0..NUM_PORTS {
-                let mut pb = (occ_snapshot >> (in_port * v)) & port_mask;
-                while pb != 0 {
-                    let in_vc = pb.trailing_zeros() as usize;
-                    pb &= pb - 1;
+                for in_vc in iter_bits((occ_snapshot >> (in_port * v)) & port_mask) {
                     let ivc = &r.inputs[in_port][in_vc];
                     let VcState::Routed {
                         adaptive,
@@ -1580,14 +1601,12 @@ impl Network {
                         escape_lane,
                     );
                     if let Some((out_port, out_vc)) = request {
-                        let prio =
-                            policy.priority(ArbStage::VaOut, r, Some(cfg.vc_class(out_vc)), &req);
                         va_scratch.push(VaReq {
                             out_port,
                             out_vc,
                             in_port,
                             in_vc,
-                            prio,
+                            req,
                         });
                     }
                 }
@@ -1595,12 +1614,16 @@ impl Network {
             if va_scratch.is_empty() {
                 continue;
             }
-            // VA_out: arbitrate per contested output VC.
+            // VA_out: arbitrate per requested output VC. Each input VC
+            // requests at most one output VC, so keys within a group are
+            // distinct and the sort's tie order cannot change a winner. A
+            // lone request wins whatever its priority, so the policy is
+            // consulted only for contested output VCs.
             va_scratch.sort_unstable_by_key(|q| (q.out_port, q.out_vc));
             let mut i = 0;
             while i < va_scratch.len() {
                 let (op, ovc) = (va_scratch[i].out_port, va_scratch[i].out_vc);
-                let mut j = i;
+                let mut j = i + 1;
                 while j < va_scratch.len()
                     && va_scratch[j].out_port == op
                     && va_scratch[j].out_vc == ovc
@@ -1608,23 +1631,29 @@ impl Network {
                     j += 1;
                 }
                 let group = &va_scratch[i..j];
-                let reqs: Vec<(u64, usize)> = group
-                    .iter()
-                    .map(|q| (q.prio, q.in_port * v + q.in_vc))
-                    .collect();
-                let ptr = &mut r.va_ptr[op * v + ovc];
-                let Some(w) = arbitrate_rr(&reqs, NUM_PORTS * v, ptr) else {
+                i = j;
+                let class = cfg.vc_class(ovc);
+                let contested = group.len() > 1;
+                let reqs = group.iter().map(|q| {
+                    let prio = if contested {
+                        policy.priority(ArbStage::VaOut, r, Some(class), &q.req)
+                    } else {
+                        0
+                    };
+                    (prio, q.in_port * v + q.in_vc)
+                });
+                let slot = op * v + ovc;
+                let Some((w, next)) = arbitrate_rr_at(reqs, NUM_PORTS * v, r.va_ptr[slot]) else {
                     debug_assert!(false, "non-empty request group yields a VA winner");
-                    i = j;
                     continue;
                 };
+                r.va_ptr[slot] = next;
                 let win = group[w];
                 r.alloc_out_vc(op, ovc, (win.in_port, win.in_vc));
                 r.inputs[win.in_port][win.in_vc].state = VcState::Active {
                     out_port: op,
                     out_vc: ovc,
                 };
-                i = j;
             }
         }
     }
@@ -1761,10 +1790,7 @@ impl Network {
                 r.occ_bits
             };
             for in_port in 0..NUM_PORTS {
-                let mut pb = (occ_snapshot >> (in_port * v)) & port_mask;
-                while pb != 0 {
-                    let in_vc = pb.trailing_zeros() as usize;
-                    pb &= pb - 1;
+                for in_vc in iter_bits((occ_snapshot >> (in_port * v)) & port_mask) {
                     let ivc = &mut r.inputs[in_port][in_vc];
                     if ivc.state != VcState::Idle {
                         continue;
@@ -2030,9 +2056,7 @@ impl Network {
     /// (`Router::occ_dirty` is the ground truth behind the former
     /// dirty-mask iteration). Analysis accumulates per-cycle occupancy
     /// sums, so it must come with `may_skip == false`.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn update_band(
-        cfg: &SimConfig,
         policy: &dyn PriorityPolicy,
         routers: &mut [Router],
         congestion: &mut [u16],
@@ -2052,11 +2076,11 @@ impl Network {
             r.ovc_native = n;
             r.ovc_foreign = f;
             policy.update_router(r, cycle);
-            congestion[local] = r.adaptive_occupancy(cfg);
+            congestion[local] = r.adaptive_occupancy();
             if let Some(a) = analysis.as_deref_mut() {
                 a.occ_native += n as u64;
                 a.occ_foreign += f as u64;
-                let (reg, glob) = r.tag_occupancy(cfg);
+                let (reg, glob) = r.tag_occupancy();
                 a.occ_regional += reg as u64;
                 a.occ_global += glob as u64;
             }
@@ -2065,7 +2089,6 @@ impl Network {
 
     fn update_state_phase(&mut self) {
         let Network {
-            cfg,
             policy,
             routers,
             congestion,
@@ -2079,7 +2102,6 @@ impl Network {
         } = self;
         let may_skip = !*force_exhaustive && analysis.is_none() && *policy_idempotent;
         Self::update_band(
-            cfg,
             &**policy,
             routers,
             congestion,

@@ -6,7 +6,6 @@ use crate::config::SimConfig;
 use crate::flit::{Flit, PacketInfo};
 use crate::ids::{MsgClass, NodeId, PORT_LOCAL};
 use crate::router::Router;
-use crate::vc::VcState;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -214,10 +213,7 @@ impl Node {
     /// at the injection port — the dateline lane only constrains the
     /// *output* VC a routed head may request).
     fn pick_vc(&mut self, cfg: &SimConfig, router: &Router, class: MsgClass) -> Option<usize> {
-        let usable = |vc: usize| {
-            let ivc = &router.inputs[PORT_LOCAL][vc];
-            ivc.state == VcState::Idle && ivc.buf.is_empty() && ivc.holder.is_none()
-        };
+        let usable = |vc: usize| router.occ_bits & router.vc_bit(PORT_LOCAL, vc) == 0;
         let n_adaptive = cfg.adaptive_vcs;
         let base = cfg.num_escape_vcs();
         for k in 0..n_adaptive {
@@ -270,8 +266,7 @@ impl Node {
                 };
                 if ev.head {
                     debug_assert!(!router.inputs[PORT_LOCAL][p.vc].occupied());
-                    router.inputs[PORT_LOCAL][p.vc].holder = Some(flit.info.app);
-                    router.note_vc_occupied(PORT_LOCAL, p.vc);
+                    router.occupy_vc(PORT_LOCAL, p.vc, flit.info.app);
                 }
                 router.inputs[PORT_LOCAL][p.vc].buf.push_back(flit);
                 if p.flits.is_empty() {
@@ -349,7 +344,7 @@ mod tests {
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
         // Occupy every local VC.
         for vc in 0..c.vcs_per_port() {
-            router.inputs[PORT_LOCAL][vc].holder = Some(9);
+            router.occupy_vc(PORT_LOCAL, vc, 9);
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, 0).is_none());
@@ -373,7 +368,7 @@ mod tests {
         let mut node = Node::new(&c, 0);
         let mut router = Router::new(&c, 0, c.coord_of(0), 0);
         for vc in c.adaptive_vc_range() {
-            router.inputs[PORT_LOCAL][vc].holder = Some(9);
+            router.occupy_vc(PORT_LOCAL, vc, 9);
         }
         node.enqueue(pkt(1, 0, 1));
         assert!(node.try_inject(&c, &mut router, 0).is_some());

@@ -23,7 +23,7 @@ impl Checker for PolicyInvariant {
 
     fn end_of_cycle(&mut self, net: &Network, out: &mut Vec<OracleViolation>) {
         for r in &net.routers {
-            let (native, foreign) = r.count_occupancy();
+            let (native, foreign) = r.recount_occupancy();
             if (native, foreign) != (r.ovc_native, r.ovc_foreign) {
                 out.push(OracleViolation {
                     cycle: net.cycle(),

@@ -14,7 +14,7 @@
 use crate::bits::low_bits;
 use crate::config::SimConfig;
 use crate::ids::{AppId, Coord, NodeId, Port, APP_NONE, NUM_PORTS, PORT_LOCAL};
-use crate::vc::{InputVc, VcState};
+use crate::vc::{InputVc, VcClass, VcState, VcTag};
 
 /// A single mesh router.
 #[derive(Debug)]
@@ -61,8 +61,8 @@ pub struct Router {
     /// (§IV.C case 3).
     pub dpa_native_high: bool,
 
-    // --- Active-set occupancy summary (maintained incrementally by the
-    // network at the only two occupancy transition points: head written
+    // --- Active-set occupancy summary (maintained by `occupy_vc` /
+    // `free_vc` at the only two occupancy transition points: head written
     // into an empty idle VC, tail departed through the crossbar).
     /// Occupied input VCs per input port.
     pub occ_port: [u16; NUM_PORTS],
@@ -85,6 +85,9 @@ pub struct Router {
     /// Bit set ⇔ the input VC is occupied. SA/VA/RC candidate enumeration
     /// iterates these bits instead of scanning `inputs`.
     pub occ_bits: u64,
+    /// Bit set ⇔ the input VC is occupied by native traffic (a subset of
+    /// `occ_bits`). The DPA registers are popcounts of this pair.
+    pub(crate) native_bits: u64,
     /// Bit set ⇔ the output VC has no holder (`out_alloc[..] == None`).
     pub out_free: u64,
     /// Bit set ⇔ all credits returned (`credits == vc_depth`) — the atomic
@@ -92,6 +95,25 @@ pub struct Router {
     pub credits_full: u64,
     /// Bit set ⇔ at least one credit available (`credits > 0`). Local-port
     /// bits are always set.
+    pub credits_avail: u64,
+
+    // --- Per-class slot masks (constant; cached from config): every
+    // port's slots of one VC class, so class-restricted occupancy counts
+    // are one popcount of `occ_bits`.
+    /// Adaptive VC slots of every port.
+    adaptive_slots: u64,
+    /// Regional-tagged adaptive VC slots of every port.
+    regional_slots: u64,
+}
+
+/// The router's incremental VC bitsets as one comparable value (see
+/// [`Router::bitsets`] and [`Router::recount_bitsets`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VcBitsets {
+    pub occ: u64,
+    pub native: u64,
+    pub out_free: u64,
+    pub credits_full: u64,
     pub credits_avail: u64,
 }
 
@@ -102,6 +124,11 @@ impl Router {
         // `validate()` caps NUM_PORTS * vcs_per_port() at 64, so the checked
         // helper is exact (the old `>= 64 ? !0` branch silently saturated).
         let valid = low_bits(NUM_PORTS * v);
+        let class_slots = |pred: fn(VcClass) -> bool| {
+            (0..NUM_PORTS * v)
+                .filter(|&slot| pred(cfg.vc_class(slot % v)))
+                .fold(0u64, |m, slot| m | 1u64 << slot)
+        };
         Self {
             id,
             coord,
@@ -125,9 +152,12 @@ impl Router {
             vcs: v,
             vc_depth: cfg.vc_depth,
             occ_bits: 0,
+            native_bits: 0,
             out_free: valid,
             credits_full: valid,
             credits_avail: valid,
+            adaptive_slots: class_slots(|c| c.tag().is_some()),
+            regional_slots: class_slots(|c| c.tag() == Some(VcTag::Regional)),
         }
     }
 
@@ -144,24 +174,39 @@ impl Router {
         low_bits(NUM_PORTS * self.vcs)
     }
 
-    /// Record that input VC `(port, vc)` transitioned unoccupied → occupied.
+    /// Input VC `(port, vc)` goes unoccupied → occupied by a packet of
+    /// `app` (its head flit is being written into the empty idle VC). One
+    /// of the two occupancy transitions: sets the holder tag, the
+    /// occupancy summary, `occ_bits`/`native_bits` and the dirty flag
+    /// together.
     #[inline]
-    pub fn note_vc_occupied(&mut self, port: Port, vc: usize) {
-        debug_assert_eq!(self.occ_bits & self.vc_bit(port, vc), 0);
+    pub fn occupy_vc(&mut self, port: Port, vc: usize, app: AppId) {
+        let bit = self.vc_bit(port, vc);
+        debug_assert_eq!(self.occ_bits & bit, 0);
+        let native = self.is_native(app);
+        self.inputs[port][vc].holder = Some(app);
         self.occ_port[port] += 1;
         self.occ_vcs += 1;
-        self.occ_bits |= self.vc_bit(port, vc);
+        self.occ_bits |= bit;
+        if native {
+            self.native_bits |= bit;
+        }
         self.occ_dirty = true;
     }
 
-    /// Record that input VC `(port, vc)` transitioned occupied → unoccupied.
+    /// Input VC `(port, vc)` goes occupied → unoccupied (its tail departed
+    /// or its packet was extracted). The other occupancy transition:
+    /// clears everything [`occupy_vc`](Self::occupy_vc) set.
     #[inline]
-    pub fn note_vc_freed(&mut self, port: Port, vc: usize) {
+    pub fn free_vc(&mut self, port: Port, vc: usize) {
+        let bit = self.vc_bit(port, vc);
         debug_assert!(self.occ_port[port] > 0 && self.occ_vcs > 0);
-        debug_assert_ne!(self.occ_bits & self.vc_bit(port, vc), 0);
+        debug_assert_ne!(self.occ_bits & bit, 0);
+        self.inputs[port][vc].holder = None;
         self.occ_port[port] -= 1;
         self.occ_vcs -= 1;
-        self.occ_bits &= !self.vc_bit(port, vc);
+        self.occ_bits &= !bit;
+        self.native_bits &= !bit;
         self.occ_dirty = true;
     }
 
@@ -218,32 +263,49 @@ impl Router {
         self.out_free & self.credits_full
     }
 
-    /// Recompute all four bitsets by exhaustive scan (the slow definition
-    /// the incremental bitmaps must always agree with). Returns
-    /// `(occ_bits, out_free, credits_full, credits_avail)`.
-    pub fn recount_bitsets(&self) -> (u64, u64, u64, u64) {
-        let mut occ = 0u64;
-        let mut free = 0u64;
-        let mut full = 0u64;
-        let mut avail = 0u64;
+    /// The incrementally maintained bitsets.
+    pub fn bitsets(&self) -> VcBitsets {
+        VcBitsets {
+            occ: self.occ_bits,
+            native: self.native_bits,
+            out_free: self.out_free,
+            credits_full: self.credits_full,
+            credits_avail: self.credits_avail,
+        }
+    }
+
+    /// Recompute all five bitsets by exhaustive scan (the slow definition
+    /// the incremental bitmaps must always agree with).
+    pub fn recount_bitsets(&self) -> VcBitsets {
+        let mut b = VcBitsets {
+            occ: 0,
+            native: 0,
+            out_free: 0,
+            credits_full: 0,
+            credits_avail: 0,
+        };
         for port in 0..NUM_PORTS {
             for vc in 0..self.vcs {
                 let bit = 1u64 << (port * self.vcs + vc);
-                if self.inputs[port][vc].occupied() {
-                    occ |= bit;
+                let ivc = &self.inputs[port][vc];
+                if ivc.occupied() {
+                    b.occ |= bit;
+                    if ivc.holder_app().is_some_and(|a| self.is_native(a)) {
+                        b.native |= bit;
+                    }
                 }
                 if self.out_alloc[port][vc].is_none() {
-                    free |= bit;
+                    b.out_free |= bit;
                 }
                 if self.credits[port][vc] == self.vc_depth {
-                    full |= bit;
+                    b.credits_full |= bit;
                 }
                 if self.credits[port][vc] > 0 {
-                    avail |= bit;
+                    b.credits_avail |= bit;
                 }
             }
         }
-        (occ, free, full, avail)
+        b
     }
 
     /// Recompute the occupancy summary by exhaustive scan (the slow way the
@@ -281,14 +343,25 @@ impl Router {
     /// Is there a credit available to forward one flit on `(port, vc)`?
     #[inline]
     pub fn has_credit(&self, port: Port, vc: usize) -> bool {
-        port == PORT_LOCAL || self.credits[port][vc] > 0
+        port == PORT_LOCAL || self.credits_avail & self.vc_bit(port, vc) != 0
     }
 
     /// Count occupied input VCs, split into (native, foreign) with respect
     /// to this router's region tag. Feeds the DPA registers: the paper
     /// counts *all* VCs in the router, not just one port, to tolerate
-    /// non-uniform per-port status (§IV.C).
+    /// non-uniform per-port status (§IV.C). Two popcounts, as in hardware.
+    #[inline]
     pub fn count_occupancy(&self) -> (u32, u32) {
+        (
+            self.native_bits.count_ones(),
+            (self.occ_bits & !self.native_bits).count_ones(),
+        )
+    }
+
+    /// [`count_occupancy`](Self::count_occupancy) by exhaustive scan of the
+    /// input VCs' holder tags — the independent definition the invariant
+    /// checks compare the DPA registers against.
+    pub fn recount_occupancy(&self) -> (u32, u32) {
         let mut native = 0;
         let mut foreign = 0;
         for vcs in &self.inputs {
@@ -310,38 +383,16 @@ impl Router {
 
     /// Number of occupied *adaptive* input VCs — the congestion metric
     /// exported to congestion-aware routing (local and DBAR selection).
-    pub fn adaptive_occupancy(&self, cfg: &SimConfig) -> u16 {
-        let mut n = 0;
-        for vcs in &self.inputs {
-            for vc in cfg.adaptive_vc_range() {
-                if vcs[vc].occupied() {
-                    n += 1;
-                }
-            }
-        }
-        n
+    #[inline]
+    pub fn adaptive_occupancy(&self) -> u16 {
+        (self.occ_bits & self.adaptive_slots).count_ones() as u16
     }
 
     /// Occupied adaptive input VCs split by regional/global tag.
-    pub fn tag_occupancy(&self, cfg: &SimConfig) -> (u16, u16) {
-        let mut regional = 0;
-        let mut global = 0;
-        for vcs in &self.inputs {
-            for vc in cfg.adaptive_vc_range() {
-                if vcs[vc].occupied() {
-                    match cfg.vc_class(vc) {
-                        crate::vc::VcClass::Adaptive {
-                            tag: crate::vc::VcTag::Regional,
-                        } => regional += 1,
-                        crate::vc::VcClass::Adaptive {
-                            tag: crate::vc::VcTag::Global,
-                        } => global += 1,
-                        crate::vc::VcClass::Escape { .. } => {}
-                    }
-                }
-            }
-        }
-        (regional, global)
+    pub fn tag_occupancy(&self) -> (u16, u16) {
+        let adaptive = self.occ_bits & self.adaptive_slots;
+        let regional = (adaptive & self.regional_slots).count_ones() as u16;
+        (regional, adaptive.count_ones() as u16 - regional)
     }
 
     /// Total flits buffered in this router's input VCs (conservation checks).
@@ -395,8 +446,7 @@ mod tests {
                 reply: None,
             },
         });
-        r.inputs[port][vc].holder = Some(app);
-        r.note_vc_occupied(port, vc);
+        r.occupy_vc(port, vc, app);
     }
 
     #[test]
@@ -444,7 +494,7 @@ mod tests {
             }
         }
         assert_eq!(r.count_occupancy(), (0, 0));
-        assert_eq!(r.adaptive_occupancy(&c), 0);
+        assert_eq!(r.adaptive_occupancy(), 0);
     }
 
     #[test]
@@ -454,7 +504,12 @@ mod tests {
         put_flit(&mut r, 2, 2, 0); // foreign
         put_flit(&mut r, 3, 3, 2); // foreign
         assert_eq!(r.count_occupancy(), (1, 2));
+        assert_eq!(r.recount_occupancy(), (1, 2));
         assert!(!r.is_idle());
+        r.inputs[2][2].buf.clear();
+        r.free_vc(2, 2);
+        assert_eq!(r.count_occupancy(), (1, 1));
+        assert_eq!(r.recount_occupancy(), (1, 1));
     }
 
     #[test]
@@ -464,6 +519,7 @@ mod tests {
         put_flit(&mut r, 1, 1, 0);
         put_flit(&mut r, 2, 2, 5);
         assert_eq!(r.count_occupancy(), (2, 0));
+        assert_eq!(r.recount_occupancy(), (2, 0));
     }
 
     #[test]
@@ -482,10 +538,15 @@ mod tests {
     #[test]
     fn local_port_always_has_credit() {
         let mut r = mk();
-        r.credits[PORT_LOCAL][0] = 0;
+        let c = cfg();
+        for _ in 0..c.vc_depth {
+            r.take_credit(PORT_LOCAL, 0);
+        }
         assert!(r.has_credit(PORT_LOCAL, 0));
         assert!(!{
-            r.credits[1][0] = 0;
+            for _ in 0..c.vc_depth {
+                r.take_credit(1, 0);
+            }
             r.has_credit(1, 0)
         });
     }
@@ -506,8 +567,7 @@ mod tests {
         assert_eq!(r.recount_occupancy_summary(), (r.occ_port, r.occ_vcs));
         // Free one back down and re-check agreement with the slow scan.
         r.inputs[1][0].buf.clear();
-        r.inputs[1][0].holder = None;
-        r.note_vc_freed(1, 0);
+        r.free_vc(1, 0);
         assert_eq!(r.occ_vcs, 2);
         assert_eq!(r.recount_occupancy_summary(), (r.occ_port, r.occ_vcs));
     }
@@ -516,16 +576,16 @@ mod tests {
     fn bitsets_track_transitions() {
         let mut r = mk();
         let c = cfg();
-        assert_eq!(
-            r.recount_bitsets(),
-            (r.occ_bits, r.out_free, r.credits_full, r.credits_avail)
-        );
+        assert_eq!(r.recount_bitsets(), r.bitsets());
         assert_eq!(r.occ_bits, 0);
         assert_eq!(r.out_free, r.valid_vc_mask());
 
         put_flit(&mut r, 1, 2, 0);
         put_flit(&mut r, 3, 0, 1);
         assert_eq!(r.occ_bits, r.vc_bit(1, 2) | r.vc_bit(3, 0));
+        // Router app = 1: only the app-1 packet is native.
+        assert_eq!(r.native_bits, r.vc_bit(3, 0));
+        assert_eq!(r.recount_bitsets(), r.bitsets());
 
         // Allocate an output VC and drain the downstream buffer by one.
         r.alloc_out_vc(2, 3, (1, 2));
@@ -533,10 +593,7 @@ mod tests {
         assert!(!r.out_vc_allocatable(&c, 2, 3));
         assert_eq!(r.allocatable_mask() & r.vc_bit(2, 3), 0);
         assert_ne!(r.credits_avail & r.vc_bit(2, 3), 0);
-        assert_eq!(
-            r.recount_bitsets(),
-            (r.occ_bits, r.out_free, r.credits_full, r.credits_avail)
-        );
+        assert_eq!(r.recount_bitsets(), r.bitsets());
 
         // Drain to zero credits: availability bit clears too.
         for _ in 1..c.vc_depth {
@@ -552,12 +609,14 @@ mod tests {
         r.release_out_vc(2, 3);
         assert_ne!(r.allocatable_mask() & r.vc_bit(2, 3), 0);
         r.inputs[1][2].buf.clear();
-        r.inputs[1][2].holder = None;
-        r.note_vc_freed(1, 2);
-        assert_eq!(
-            r.recount_bitsets(),
-            (r.occ_bits, r.out_free, r.credits_full, r.credits_avail)
-        );
+        r.free_vc(1, 2);
+        assert_eq!(r.recount_bitsets(), r.bitsets());
+        // Freeing the native VC clears its native bit too.
+        r.inputs[3][0].buf.clear();
+        r.free_vc(3, 0);
+        assert_eq!((r.occ_bits, r.native_bits), (0, 0));
+        assert_eq!(r.recount_bitsets(), r.bitsets());
+        assert_eq!(r.count_occupancy(), r.recount_occupancy());
     }
 
     #[test]
@@ -572,6 +631,7 @@ mod tests {
         };
         r.inputs[2][1].buf.clear(); // flits forwarded, VC still held
         assert_eq!(r.count_occupancy(), (0, 1));
+        assert_eq!(r.recount_occupancy(), (0, 1));
     }
 
     #[test]
@@ -579,8 +639,12 @@ mod tests {
         let mut r = mk();
         let c = cfg();
         put_flit(&mut r, 1, c.escape_vc(0), 0); // escape VC
-        assert_eq!(r.adaptive_occupancy(&c), 0);
-        put_flit(&mut r, 1, c.adaptive_vc_range().start, 0);
-        assert_eq!(r.adaptive_occupancy(&c), 1);
+        assert_eq!(r.adaptive_occupancy(), 0);
+        assert_eq!(r.tag_occupancy(), (0, 0));
+        put_flit(&mut r, 1, c.adaptive_vc_range().start, 0); // regional
+        assert_eq!(r.adaptive_occupancy(), 1);
+        put_flit(&mut r, 2, c.adaptive_vc_range().end - 1, 0); // global
+        assert_eq!(r.adaptive_occupancy(), 2);
+        assert_eq!(r.tag_occupancy(), (1, 1));
     }
 }

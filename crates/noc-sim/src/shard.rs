@@ -216,7 +216,6 @@ fn worker_loop(
         // Skipped routers keep their previous congestion export.
         let mut cong_band = cmd.congestion[base..base + routers.len()].to_vec();
         Network::update_band(
-            w.cfg,
             w.policy,
             &mut routers,
             &mut cong_band,

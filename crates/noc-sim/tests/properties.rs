@@ -1,6 +1,6 @@
 //! Property-based tests of the simulator substrate.
 
-use noc_sim::arbitration::arbitrate_rr;
+use noc_sim::arbitration::arbitrate_rr_at;
 use noc_sim::network::Network;
 use noc_sim::prelude::*;
 use proptest::prelude::*;
@@ -78,7 +78,8 @@ proptest! {
         let mut wins = vec![0usize; n];
         let mut ptr = 0;
         for _ in 0..n * k {
-            let w = arbitrate_rr(&reqs, n, &mut ptr).unwrap();
+            let (w, next) = arbitrate_rr_at(reqs.iter().copied(), n, ptr).unwrap();
+            ptr = next;
             wins[reqs[w].1] += 1;
         }
         prop_assert!(wins.iter().all(|&w| w == k), "unfair wins {wins:?}");
@@ -96,8 +97,7 @@ proptest! {
             reqs.into_iter().filter(|&(_, k)| seen.insert(k)).collect();
         prop_assume!(!reqs.is_empty());
         let max = reqs.iter().map(|r| r.0).max().unwrap();
-        let mut ptr = ptr0;
-        let w = arbitrate_rr(&reqs, 10, &mut ptr).unwrap();
+        let (w, _) = arbitrate_rr_at(reqs.iter().copied(), 10, ptr0).unwrap();
         prop_assert_eq!(reqs[w].0, max);
     }
 

@@ -15,7 +15,10 @@
 //! release-mode `assert*` macros — from the bodies of the six
 //! pipeline-phase band functions and the admission verifier's checks.
 //! `debug_assert*` stays legal there: it documents the invariant while the
-//! release kernel recovers instead of aborting.
+//! release kernel recovers instead of aborting. A third, likewise
+//! function-scoped rule (`alloc-in-hot-path`, see [`ALLOC_RULE`]) keeps the
+//! six band functions allocation-free: no `collect`, `to_vec`, `vec!`,
+//! `format!`, `to_string` or `to_owned` in a per-cycle body.
 //!
 //! The issue asked for a `syn`-based AST pass; `syn` is not vendored in this
 //! offline build environment (and pulling it in would violate the
@@ -118,6 +121,26 @@ pub const PANIC_RULE: Rule = Rule {
           recover with `let .. else { debug_assert!(false, ..); .. }`",
 };
 
+/// The function-scoped allocation rule: the six pipeline-phase band
+/// functions run for every active router every cycle, so a heap allocation
+/// there is paid millions of times per simulation. Requests are arbitrated
+/// from iterators and reused scratch buffers instead. Applied, like
+/// [`PANIC_RULE`], only to the bodies listed in [`HOT_PATHS`] (the
+/// `network.rs` bands, not the admission checks).
+pub const ALLOC_RULE: Rule = Rule {
+    name: "alloc-in-hot-path",
+    tokens: &[
+        "collect",
+        "to_vec",
+        "vec",
+        "format",
+        "to_string",
+        "to_owned",
+    ],
+    why: "pipeline bands run per router per cycle and must not allocate; \
+          iterate in place (`arbitrate_rr_at` takes an iterator) or reuse a scratch buffer",
+};
+
 /// The statement-scoped durability rule: in the modules that own crash
 /// safety (the checkpoint runner, the saturation cache, the experiment
 /// service), discarding an IO result with `let _ = …` is how checkpoint
@@ -159,16 +182,19 @@ pub const DURABILITY_SCOPES: &[&str] = &[
     "crates/experiments/src/service",
 ];
 
-/// One file whose named function bodies are held to [`PANIC_RULE`].
+/// One file whose named function bodies are held to function-scoped rules.
 pub struct HotPath {
     /// Path relative to the workspace root.
     pub file: &'static str,
     /// Function names whose bodies are scanned.
     pub functions: &'static [&'static str],
+    /// The rules those bodies are held to.
+    pub rules: &'static [&'static Rule],
 }
 
 /// The hot paths: the six pure pipeline-phase bands (shared by the serial
-/// and sharded engines) and the admission verifier's entry points.
+/// and sharded engines; panic- and allocation-free) and the admission
+/// verifier's entry points (panic-free).
 pub const HOT_PATHS: &[HotPath] = &[
     HotPath {
         file: "crates/noc-sim/src/network.rs",
@@ -180,6 +206,7 @@ pub const HOT_PATHS: &[HotPath] = &[
             "inject_band",
             "update_band",
         ],
+        rules: &[&PANIC_RULE, &ALLOC_RULE],
     },
     HotPath {
         file: "crates/noc-sim/src/admit.rs",
@@ -189,6 +216,7 @@ pub const HOT_PATHS: &[HotPath] = &[
             "admit_network",
             "admit_network_cached",
         ],
+        rules: &[&PANIC_RULE],
     },
 ];
 
@@ -198,6 +226,7 @@ pub fn rule(name: &str) -> Option<&'static Rule> {
         .iter()
         .find(|r| r.name == name)
         .or((PANIC_RULE.name == name).then_some(&PANIC_RULE))
+        .or((ALLOC_RULE.name == name).then_some(&ALLOC_RULE))
         .or((SWALLOWED_IO_RULE.name == name).then_some(&SWALLOWED_IO_RULE))
 }
 
@@ -565,27 +594,34 @@ fn body_spans(toks: &[Tok], functions: &[&str]) -> Vec<(usize, usize)> {
     spans
 }
 
-/// Apply [`PANIC_RULE`] to the bodies of `functions` within one source
-/// text; `path` labels the findings. The `lint: allow(panic-in-hot-path)`
-/// hatch works exactly as for the file-wide rules.
-pub fn lint_hot_source(path: &str, src: &str, functions: &[&str]) -> Vec<Finding> {
+/// Apply `rules` to the bodies of `functions` within one source text;
+/// `path` labels the findings. The `lint: allow(rule-name)` hatch works
+/// exactly as for the file-wide rules.
+pub fn lint_body_source(
+    path: &str,
+    src: &str,
+    functions: &[&str],
+    rules: &[&Rule],
+) -> Vec<Finding> {
     let (toks, allows) = scan(src);
     let mut findings = Vec::new();
     for (open, close) in body_spans(&toks, functions) {
         for t in &toks[open..close] {
             let Tok::Ident(line, ident) = t else { continue };
-            if PANIC_RULE.tokens.contains(&ident.as_str())
-                && !allows
-                    .get(*line)
-                    .is_some_and(|a| a.iter().any(|n| n == PANIC_RULE.name))
-            {
-                findings.push(Finding {
-                    path: path.to_string(),
-                    line: *line,
-                    rule: PANIC_RULE.name,
-                    token: ident.clone(),
-                    why: PANIC_RULE.why,
-                });
+            for r in rules {
+                if r.tokens.contains(&ident.as_str())
+                    && !allows
+                        .get(*line)
+                        .is_some_and(|a| a.iter().any(|n| n == r.name))
+                {
+                    findings.push(Finding {
+                        path: path.to_string(),
+                        line: *line,
+                        rule: r.name,
+                        token: ident.clone(),
+                        why: r.why,
+                    });
+                }
             }
         }
     }
@@ -693,7 +729,7 @@ pub fn lint_hot_paths(root: &Path) -> Vec<Finding> {
         let Ok(src) = std::fs::read_to_string(root.join(hp.file)) else {
             continue;
         };
-        findings.extend(lint_hot_source(hp.file, &src, hp.functions));
+        findings.extend(lint_body_source(hp.file, &src, hp.functions, hp.rules));
     }
     findings
 }

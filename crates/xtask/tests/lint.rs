@@ -1,10 +1,14 @@
 //! Tests of the determinism lint: scanner correctness (comments, strings,
 //! lifetimes, raw strings), every rule firing on a minimal fixture, the
 //! `lint: allow` escape hatch, the full workspace staying clean, and the
-//! revert-one-satellite regression (putting `HashMap` back into `sweep.rs`
-//! must make the lint fail).
+//! revert-one-satellite regressions (putting `HashMap` back into
+//! `sweep.rs`, an `unwrap` or a `collect` back into `sa_band`, must make
+//! the lint fail).
 
-use xtask::{lint_source, rule, Finding, RULES};
+use xtask::{lint_source, rule, Finding, Rule, RULES};
+
+/// The function-scoped panic rule alone.
+const PANIC: &[&Rule] = &[&xtask::PANIC_RULE];
 
 fn all_rules() -> Vec<&'static xtask::Rule> {
     RULES.iter().collect()
@@ -172,7 +176,7 @@ fn also_fine() {
     panic!("not a hot path");
 }
 "#;
-    let f = xtask::lint_hot_source("fixture.rs", src, &["sa_band"]);
+    let f = xtask::lint_body_source("fixture.rs", src, &["sa_band"], PANIC);
     assert_eq!(f.len(), 1, "{f:?}");
     assert_eq!(f[0].rule, "panic-in-hot-path");
     assert_eq!(f[0].token, "unwrap");
@@ -193,28 +197,28 @@ fn panic_rule_catches_each_family_member() {
         "assert_ne",
     ] {
         let src = format!("fn va_band() {{\n    {tok}!(maybe);\n}}\n");
-        let f = xtask::lint_hot_source("fixture.rs", &src, &["va_band"]);
+        let f = xtask::lint_body_source("fixture.rs", &src, &["va_band"], PANIC);
         assert_eq!(f.len(), 1, "{tok} missed: {f:?}");
         assert_eq!(f[0].token, tok);
     }
     // The debug_ variants stay legal.
     let src = "fn va_band() {\n    debug_assert!(ok);\n    debug_assert_eq!(a, b);\n}\n";
-    assert!(xtask::lint_hot_source("fixture.rs", src, &["va_band"]).is_empty());
+    assert!(xtask::lint_body_source("fixture.rs", src, &["va_band"], PANIC).is_empty());
 }
 
 #[test]
 fn panic_rule_escape_hatch_and_strings() {
     let hatched =
         "fn rc_band() {\n    // lint: allow(panic-in-hot-path)\n    assert!(contract);\n}\n";
-    assert!(xtask::lint_hot_source("fixture.rs", hatched, &["rc_band"]).is_empty());
+    assert!(xtask::lint_body_source("fixture.rs", hatched, &["rc_band"], PANIC).is_empty());
     // Tokens in strings and comments inside the body never fire, and
     // braces inside them must not derail the span tracker.
     let noisy = "fn rc_band() {\n    // unwrap in a comment {\n    let s = \"panic! } {\";\n}\nfn after() { x.unwrap(); }\n";
-    assert!(xtask::lint_hot_source("fixture.rs", noisy, &["rc_band"]).is_empty());
+    assert!(xtask::lint_body_source("fixture.rs", noisy, &["rc_band"], PANIC).is_empty());
 }
 
-/// Revert-one-satellite check for the panic rule: putting the `.unwrap()`
-/// arbitration calls back into `sa_band`/`va_band` must fail the lint.
+/// Revert-one-satellite check for the panic rule: putting an `.unwrap()`
+/// back on the SA_in arbitration call in `sa_band` must fail the lint.
 #[test]
 fn reverting_the_band_unwrap_rewrite_fails_the_lint() {
     let path = xtask::workspace_root().join("crates/noc-sim/src/network.rs");
@@ -226,23 +230,88 @@ fn reverting_the_band_unwrap_rewrite_fails_the_lint() {
         .functions
         .to_vec();
     // The shipped file is clean…
-    assert!(xtask::lint_hot_source("network.rs", &src, &hot).is_empty());
+    assert!(xtask::lint_body_source("network.rs", &src, &hot, PANIC).is_empty());
     // …and reintroducing an unwrap inside sa_band is caught.
-    let marker = "let Some(w) = arbitrate_rr(&reqs, v, &mut r.sa_in_ptr[in_port]) else {";
+    let marker = "if let Some((w, next)) = arbitrate_rr_at(reqs, v, r.sa_in_ptr[in_port]) {";
     assert!(src.contains(marker), "sa_band rewrite marker missing");
     let reverted = src.replace(
         marker,
-        "let Some(w) = Some(arbitrate_rr(&reqs, v, &mut r.sa_in_ptr[in_port]).unwrap()) else {",
+        "if let Some((w, next)) = Some(arbitrate_rr_at(reqs, v, r.sa_in_ptr[in_port]).unwrap()) {",
     );
-    let findings = xtask::lint_hot_source("network.rs", &reverted, &hot);
+    let findings = xtask::lint_body_source("network.rs", &reverted, &hot, PANIC);
     assert!(
         findings.iter().any(|f| f.token == "unwrap"),
         "lint missed the reverted unwrap: {findings:?}"
     );
 }
 
+/// The function-scoped allocation rule: every banned token fires inside a
+/// band body, and nothing fires outside the listed bodies.
+#[test]
+fn alloc_rule_catches_each_token_and_is_function_scoped() {
+    let rules = [&xtask::ALLOC_RULE];
+    for (tok, stmt) in [
+        ("collect", "let v: Vec<u32> = it.collect();"),
+        ("to_vec", "let v = s.to_vec();"),
+        ("vec", "let v = vec![0u64; n];"),
+        ("format", "let s = format!(\"{x}\");"),
+        ("to_string", "let s = x.to_string();"),
+        ("to_owned", "let s = name.to_owned();"),
+    ] {
+        let src = format!("fn helper() {{\n    {stmt}\n}}\nfn sa_band() {{\n    {stmt}\n}}\n");
+        let f = xtask::lint_body_source("fixture.rs", &src, &["sa_band"], &rules);
+        assert_eq!(f.len(), 1, "{tok}: {f:?}");
+        assert_eq!(
+            (f[0].rule, f[0].token.as_str(), f[0].line),
+            ("alloc-in-hot-path", tok, 5)
+        );
+    }
+    // `Vec` the type and `collect` in a comment or string are not calls.
+    let benign = "fn sa_band(s: &mut Vec<u32>) {\n    // no collect here\n    let m = \"to_vec\";\n    s.push(1);\n}\n";
+    assert!(xtask::lint_body_source("fixture.rs", benign, &["sa_band"], &rules).is_empty());
+    let hatched =
+        "fn sa_band() {\n    // lint: allow(alloc-in-hot-path)\n    let v = vec![1];\n}\n";
+    assert!(xtask::lint_body_source("fixture.rs", hatched, &["sa_band"], &rules).is_empty());
+}
+
+/// Revert-one-satellite check for the allocation rule: the SA band used
+/// to `collect` each port's SA_in requests into a fresh `Vec`. Putting a
+/// `.collect()` back into `sa_band` must fail the workspace's hot-path
+/// rules for `network.rs`.
+#[test]
+fn reintroducing_a_collect_into_sa_band_fails_the_lint() {
+    let path = xtask::workspace_root().join("crates/noc-sim/src/network.rs");
+    let src = std::fs::read_to_string(&path).unwrap();
+    let hp = xtask::HOT_PATHS
+        .iter()
+        .find(|h| h.file.ends_with("network.rs"))
+        .unwrap();
+    assert!(hp.rules.iter().any(|r| r.name == "alloc-in-hot-path"));
+    assert!(xtask::lint_body_source("network.rs", &src, hp.functions, hp.rules).is_empty());
+    let marker = "let reqs = cands.iter().map(|c| (c.prio_in, c.in_vc));";
+    assert!(src.contains(marker), "sa_band SA_in request marker missing");
+    let reverted = src.replace(
+        marker,
+        "let reqs: Vec<(u64, usize)> = cands.iter().map(|c| (c.prio_in, c.in_vc)).collect();",
+    );
+    let findings = xtask::lint_body_source("network.rs", &reverted, hp.functions, hp.rules);
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "alloc-in-hot-path" && f.token == "collect"),
+        "lint missed the reintroduced collect: {findings:?}"
+    );
+    // The admission checks are held to the panic rule only.
+    let admit = xtask::HOT_PATHS
+        .iter()
+        .find(|h| h.file.ends_with("admit.rs"))
+        .unwrap();
+    assert!(admit.rules.iter().all(|r| r.name != "alloc-in-hot-path"));
+}
+
 #[test]
 fn panic_rule_lookup_and_workspace_hot_paths_clean() {
+    assert!(xtask::rule("alloc-in-hot-path").is_some());
     assert!(xtask::rule("panic-in-hot-path").is_some());
     let findings = xtask::lint_hot_paths(&xtask::workspace_root());
     assert!(findings.is_empty(), "{findings:?}");
